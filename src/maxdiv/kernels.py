@@ -3,7 +3,13 @@
 Two operations dominate runtime and are implemented twice:
 
 * ``scan_subsets``: sweep all nonempty principal submatrices of a symmetric
-  matrix, solving ``Z_B w = 1`` for each and classifying the outcome.
+  matrix, solving ``Z_B w = 1`` for each and classifying the outcome.  A
+  subset the scan cannot settle gets one of two codes: ``UNRESOLVED`` when
+  elimination meets a dead pivot (rank-deficient at ``pivot_rtol``), and
+  ``UNRELIABLE`` when it is full rank but its solution fails the residual
+  gate.  The maximizer treats them differently: a singular subset can only
+  tie a nonsingular one inside it, while an unreliable one may be a winner
+  in its own right.
 * ``grid_best``: sweep a simplex lattice, evaluating the diversity of every
   lattice distribution for several orders in one pass.
 
@@ -27,7 +33,7 @@ try:
     from numba import njit
 
     HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is the optional extra ``maxdiv[numba]``
     HAS_NUMBA = False
 
     def njit(*args, **kwargs):
@@ -40,7 +46,8 @@ except ImportError:  # pragma: no cover - numba is a declared dependency
 # Subset classification codes shared by both backends.
 UNIQUE_NONNEG = 0  # unique weighting, entrywise >= -solve_tol
 UNIQUE_NEG = 1  # unique weighting with a genuinely negative entry
-UNRESOLVED = 2  # rank-deficient or numerically unreliable; needs the slow path
+UNRESOLVED = 2  # rank-deficient: a pivot at or below pivot_rtol
+UNRELIABLE = 3  # full rank, but the solution fails the residual gate
 
 
 def _pick_default_backend() -> str:
@@ -124,7 +131,7 @@ def _scan_subsets_loop(z, solve_tol, pivot_rtol):
                     for c in range(col, k + 1):
                         a[r, c] -= f * a[col, c]
         if singular:
-            status[mask - 1] = 2
+            status[mask - 1] = UNRESOLVED
             continue
         for r in range(k - 1, -1, -1):
             s = a[r, k]
@@ -143,7 +150,7 @@ def _scan_subsets_loop(z, solve_tol, pivot_rtol):
             if w[r] < wmin:
                 wmin = w[r]
         if resid > solve_tol:
-            status[mask - 1] = 2
+            status[mask - 1] = UNRELIABLE
             continue
         total_w = 0.0
         for r in range(k):
@@ -170,8 +177,8 @@ def _subset_index_batches(n, k, chunk=65536):
 
 def _scan_subsets_numpy(z, solve_tol, pivot_rtol):
     # Batched partial-pivot elimination over all subsets of one cardinality
-    # at a time; members with a dead pivot or a bad residual are handed back
-    # as UNRESOLVED for the caller's slow path.
+    # at a time; members with a dead pivot come back UNRESOLVED and those
+    # with a bad residual UNRELIABLE, for the caller's slow path.
     n = z.shape[0]
     total = (1 << n) - 1
     status = np.empty(total, np.int8)
@@ -202,7 +209,11 @@ def _scan_subsets_numpy(z, solve_tol, pivot_rtol):
                 w[:, r] = acc / np.where(dead, 1.0, aug[:, r, r])
             resid = np.abs(np.einsum("bij,bj->bi", sub, w) - 1.0).max(axis=1)
             bad = dead | ~np.isfinite(resid) | (resid > solve_tol)
-            st = np.where(bad, 2, np.where(w.min(axis=1) >= -solve_tol, 0, 1))
+            st = np.select(
+                [dead, bad, w.min(axis=1) >= -solve_tol],
+                [UNRESOLVED, UNRELIABLE, UNIQUE_NONNEG],
+                UNIQUE_NEG,
+            )
             status[masks - 1] = st.astype(np.int8)
             mags[masks - 1] = np.where(bad, np.nan, w.sum(axis=1))
     return status, mags
@@ -213,7 +224,9 @@ def scan_subsets(z: np.ndarray, solve_tol: float, pivot_rtol: float):
 
     Returns ``(status, magnitudes)`` indexed by ``mask - 1`` where bit ``i``
     of ``mask`` selects row/column ``i``.  Status is one of
-    ``UNIQUE_NONNEG``, ``UNIQUE_NEG``, ``UNRESOLVED``.
+    ``UNIQUE_NONNEG``, ``UNIQUE_NEG``, ``UNRESOLVED`` (a dead pivot) and
+    ``UNRELIABLE`` (full rank, failed residual); magnitudes are NaN for the
+    last two.
     """
     z = np.ascontiguousarray(z, dtype=np.float64)
     if _backend == "numba":

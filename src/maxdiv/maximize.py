@@ -3,7 +3,10 @@
 The exhaustive route sweeps all nonempty subsets B, keeps those whose
 principal submatrix admits a nonnegative weighting, and takes the largest
 magnitude; the normalized nonnegative weightings of the winning subsets are
-exactly the maximizing distributions.  Polynomial-time fast paths cover
+exactly the maximizing distributions.  For symmetric Z a singular Z_B never
+beats the nonsingular subsets inside it, so the nonsingular subsets fix the
+maximum and a singular subset is solved only when it contains a tying one
+(see :func:`maximize_exhaustive`).  Polynomial-time fast paths cover
 ultrametric, strictly diagonally dominant (unit diagonal) and positive
 semidefinite matrices.
 """
@@ -16,7 +19,7 @@ import numpy as np
 
 from .diversity import Distribution, ordinariness
 from .errors import InputError, PreconditionError
-from .kernels import UNIQUE_NONNEG, UNRESOLVED, scan_subsets
+from .kernels import UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, scan_subsets
 from .linalg import (
     PIVOT_RTOL,
     SOLVE_TOL,
@@ -24,7 +27,6 @@ from .linalg import (
     WeightingSolution,
     find_nonnegative_weighting,
     find_positive_weighting,
-    is_positive_definite,
     is_positive_semidefinite,
     is_strictly_diagonally_dominant,
     is_ultrametric,
@@ -158,12 +160,42 @@ def _certify_uniqueness(winners) -> bool | None:
     return None
 
 
+def _slow_path(z: SimilarityMatrix, mask: int):
+    """Row reduction plus phase-1 LP on one subset: ``(weighting space,
+    nonnegative weighting or None)``."""
+    ws = solve_weighting_space(z, _mask_indices(mask, z.n))
+    w = None if ws.particular is None else find_nonnegative_weighting(ws)
+    return ws, w
+
+
+def _tying(mags: np.ndarray) -> np.ndarray:
+    """Indices (mask - 1) of the magnitudes within TIE_RTOL of the largest."""
+    dmax0 = float(np.nanmax(mags))
+    thresh = dmax0 - TIE_RTOL * max(1.0, abs(dmax0))
+    with np.errstate(invalid="ignore"):
+        return np.flatnonzero(mags >= thresh)
+
+
 def maximize_exhaustive(z: SimilarityMatrix, cap: int = SUBSET_CAP) -> MaximizationResult:
     """Maximum diversity and all maximizing distributions by subset sweep.
 
     Enumerates every nonempty subset in increasing cardinality (lexicographic
     within), records magnitudes of those admitting a nonnegative weighting,
     and reports every subset tying for the maximum.
+
+    The batched scan settles most subsets.  The rest go to the row reduction
+    and phase-1 LP (the slow path) as follows:
+
+    * ``UNRELIABLE`` subsets (full rank, failed residual) always do, before
+      the maximum is taken, since they may be winners in their own right.
+    * ``UNRESOLVED`` subsets (rank-deficient) do only when they contain a
+      subset already tying for the maximum.  For symmetric Z, a singular
+      Z_B with a nonnegative weighting w and kernel vector v has
+      1ᵀv = wᵀZ_B v = 0, so w + tv keeps the magnitude of w; moving t until
+      an entry of w + tv reaches zero and repeating ends at a nonsingular
+      subset of B with the same magnitude and a nonnegative weighting.  So
+      singular subsets never raise the maximum, and a singular subset ties
+      only if a tying nonsingular subset lies inside it.
     """
     if not z.symmetric:
         raise PreconditionError(_NONSYMMETRIC_MSG)
@@ -171,31 +203,34 @@ def maximize_exhaustive(z: SimilarityMatrix, cap: int = SUBSET_CAP) -> Maximizat
         raise PreconditionError(f"matrix size {z.n} exceeds the exhaustive cap {cap}")
     status, mags = scan_subsets(z.values, SOLVE_TOL, PIVOT_RTOL)
 
-    # magnitudes of feasible subsets, indexed by mask - 1 (NaN elsewhere);
-    # masks the kernel could not settle go through the full solver + LP
+    # magnitudes of feasible subsets, indexed by mask - 1 (NaN elsewhere)
     mags = np.array(mags)
     mags[status != UNIQUE_NONNEG] = np.nan
-    for mask_i in np.flatnonzero(status == UNRESOLVED):
-        ws = solve_weighting_space(z, _mask_indices(int(mask_i) + 1, z.n))
-        if ws.particular is None:
-            continue
-        if find_nonnegative_weighting(ws) is not None:
-            mags[mask_i] = ws.magnitude
+    solved = {}  # mask -> slow-path result, reused by winner assembly
 
-    dmax0 = float(np.nanmax(mags))
-    thresh = dmax0 - TIE_RTOL * max(1.0, abs(dmax0))
-    with np.errstate(invalid="ignore"):
-        tying = np.flatnonzero(mags >= thresh)
+    def settle(masks):
+        for mask in masks:
+            ws, w = solved[int(mask)] = _slow_path(z, int(mask))
+            if w is not None:
+                mags[mask - 1] = ws.magnitude
+
+    settle(np.flatnonzero(status == UNRELIABLE) + 1)
+    singular = np.flatnonzero(status == UNRESOLVED) + 1
+    holds_tie = np.zeros(singular.shape, dtype=bool)
+    for t in _tying(mags) + 1:
+        holds_tie |= (singular & t) == t
+    settle(singular[holds_tie])
+
+    # ties are taken again: a singular subset's magnitude may round above
+    # the nonsingular maximum inside it
     masks = sorted(
-        (int(m) + 1 for m in tying),
+        (int(m) + 1 for m in _tying(mags)),
         key=lambda m: (bin(m).count("1"), _mask_indices(m, z.n)),
     )
     winners = []
     for mask in masks:
-        idx = _mask_indices(mask, z.n)
-        ws = solve_weighting_space(z, idx)
-        w = find_nonnegative_weighting(ws)
-        winners.append(FeasibleSubset(idx, float(ws.magnitude), ws.with_nonnegative(w)))
+        ws, w = solved[mask] if mask in solved else _slow_path(z, mask)
+        winners.append(FeasibleSubset(ws.subset, float(ws.magnitude), ws.with_nonnegative(w)))
     winners = tuple(winners)
 
     dmax = max(fs.magnitude for fs in winners)

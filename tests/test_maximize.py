@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -7,17 +8,23 @@ from maxdiv import (
     Distribution,
     InputError,
     PreconditionError,
+    ReflexiveGraph,
     SimilarityMatrix,
+    adjacency_matrix,
     diversity,
+    find_nonnegative_weighting,
     full_support_diagnostics,
     is_invariant,
     maximize,
     maximize_exhaustive,
     maximize_fast_path,
     normalize_weighting,
+    solve_weighting_space,
     uniform,
 )
-from maxdiv.kernels import scan_subsets
+from maxdiv.kernels import UNIQUE_NEG, UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, scan_subsets
+from maxdiv.linalg import PIVOT_RTOL, SOLVE_TOL
+from maxdiv.maximize import TIE_RTOL, FeasibleSubset, _certify_uniqueness
 
 from helpers import (
     ALL_ONES_2,
@@ -179,9 +186,6 @@ class TestExhaustive:
 class TestScanBackends:
     def test_scan_matches_slow_solver(self, each_backend):
         # every UNIQUE_NONNEG mask must agree with the row-reduction solver
-        from maxdiv import find_nonnegative_weighting, solve_weighting_space
-        from maxdiv.kernels import UNIQUE_NEG, UNIQUE_NONNEG
-
         rng = np.random.default_rng(83)
         for trial in range(12):
             n = int(rng.integers(2, 6))
@@ -198,6 +202,31 @@ class TestScanBackends:
                 elif status[mask - 1] == UNIQUE_NEG:
                     assert ws.particular is not None and ws.nullspace.shape[0] == 0
                     assert ws.particular.min() < -1e-9
+                elif status[mask - 1] == UNRESOLVED:
+                    # a dead pivot in the scan is a kernel for the solver
+                    assert ws.nullspace.shape[0] >= 1
+
+    def test_full_rank_residual_failure_is_unreliable(self, each_backend):
+        # the last pivot, 3e-9, clears the pivot threshold, but the weighting
+        # has entries near 3e7 and its residual (2.5e-9) misses SOLVE_TOL
+        z = np.array([[1.0, 0.9], [0.9, 0.81 + 3e-9]])
+        status, mags = scan_subsets(z, 1e-9, 1e-10)
+        assert status.tolist() == [UNIQUE_NONNEG, UNIQUE_NONNEG, UNRELIABLE]
+        assert np.isnan(mags[2])
+
+    def test_unresolved_is_exactly_singular_on_graphs(self, each_backend):
+        # 0/1 matrices have integer determinants, so |det| < 0.5 is exact
+        rng = np.random.default_rng(91)
+        graphs = [path_adjacency(n) for n in (3, 5, 8)]
+        graphs += [adjacency_matrix(random_graph(rng, int(rng.integers(3, 9)))) for _ in range(12)]
+        for z in graphs:
+            n = z.n
+            status, _ = scan_subsets(z.values, 1e-9, 1e-10)
+            singular = sum(
+                abs(np.linalg.det(z.sub(idx))) < 0.5
+                for idx in (_mask_indices(mask, n) for mask in range(1, 2**n))
+            )
+            assert int((status == UNRESOLVED).sum()) == singular
 
     def test_status_and_magnitudes_match_across_backends(self):
         from maxdiv import set_backend, get_backend, available_backends
@@ -209,8 +238,6 @@ class TestScanBackends:
         for trial in range(25):
             n = int(rng.integers(2, 8))
             if trial % 3 == 0:
-                from maxdiv import adjacency_matrix
-
                 cases.append(adjacency_matrix(random_graph(rng, n)).values)
             elif trial % 3 == 1:
                 cases.append(random_symmetric(rng, n).values)
@@ -229,6 +256,103 @@ class TestScanBackends:
             both = ~np.isnan(m1) & ~np.isnan(m2)
             assert np.array_equal(np.isnan(m1), np.isnan(m2))
             assert np.abs(m1[both] - m2[both]).max() <= 1e-12
+
+
+def _mask_indices(mask, n):
+    return tuple(i for i in range(n) if (mask >> i) & 1)
+
+
+def _cycle_adjacency(n):
+    return adjacency_matrix(ReflexiveGraph(n, [(i, (i + 1) % n) for i in range(n)]))
+
+
+def _unpruned_reference(z):
+    """The subset sweep with every mask the scan leaves unsettled
+    (UNRESOLVED or UNRELIABLE) sent through the row reduction and the LP."""
+    status, mags = scan_subsets(z.values, SOLVE_TOL, PIVOT_RTOL)
+    mags = np.where(status == UNIQUE_NONNEG, mags, np.nan)
+    for mask in np.flatnonzero((status == UNRESOLVED) | (status == UNRELIABLE)) + 1:
+        ws = solve_weighting_space(z, _mask_indices(int(mask), z.n))
+        if find_nonnegative_weighting(ws) is not None:
+            mags[mask - 1] = ws.magnitude
+    dmax0 = float(np.nanmax(mags))
+    with np.errstate(invalid="ignore"):
+        tying = np.flatnonzero(mags >= dmax0 - TIE_RTOL * max(1.0, abs(dmax0))) + 1
+    winners = []
+    for mask in sorted(tying, key=lambda m: (bin(m).count("1"), _mask_indices(int(m), z.n))):
+        ws = solve_weighting_space(z, _mask_indices(int(mask), z.n))
+        w = find_nonnegative_weighting(ws)
+        winners.append(FeasibleSubset(ws.subset, float(ws.magnitude), ws.with_nonnegative(w)))
+    first = min(winners, key=lambda fs: fs.indices)
+    sample = normalize_weighting(first.weighting_space.nonnegative, first.indices, z.n)
+    dmax = max(fs.magnitude for fs in winners)
+    return dmax, winners, _certify_uniqueness(winners), sample
+
+
+def _assert_same_result(r, dmax, winners, unique, sample):
+    assert r.dmax == dmax
+    assert [fs.indices for fs in r.winners] == [fs.indices for fs in winners]
+    assert r.unique == unique
+    assert np.array_equal(r.sample_maximizer.probs, sample.probs)
+
+
+class TestPrunedSweep:
+    def test_matches_unpruned_reference(self):
+        rng = np.random.default_rng(107)
+        cases = [path_adjacency(n) for n in range(3, 10)]
+        for _ in range(65):
+            cases.append(adjacency_matrix(random_graph(rng, int(rng.integers(2, 9)), rng.uniform(0.2, 0.7))))
+            cases.append(random_duplicated_psd(rng, int(rng.integers(2, 9))))
+            cases.append(random_symmetric(rng, int(rng.integers(2, 9))))
+        assert len(cases) >= 200
+        for z in cases:
+            _assert_same_result(maximize_exhaustive(z), *_unpruned_reference(z))
+
+    def test_unreliable_winner_reaches_slow_path(self, monkeypatch):
+        # relabel the scan's winning UNIQUE_NONNEG masks as UNRELIABLE: only
+        # the slow path can then find the maximum and its winners
+        module = importlib.import_module("maxdiv.maximize")
+        cases = [SimilarityMatrix(THREE_SPECIES), path_adjacency(4), path_adjacency(5), _cycle_adjacency(4)]
+        for z in cases:
+            expected = maximize_exhaustive(z)
+            winning = [sum(1 << i for i in fs.indices) for fs in expected.winners]
+            relabelled = []
+
+            def scan(values, solve_tol, pivot_rtol, winning=winning, relabelled=relabelled):
+                status, mags = scan_subsets(values, solve_tol, pivot_rtol)
+                for mask in winning:
+                    if status[mask - 1] == UNIQUE_NONNEG:
+                        status[mask - 1] = UNRELIABLE
+                        mags[mask - 1] = np.nan
+                        relabelled.append(mask)
+                return status, mags
+
+            monkeypatch.setattr(module, "scan_subsets", scan)
+            got = maximize_exhaustive(z)
+            monkeypatch.undo()
+            assert relabelled
+            _assert_same_result(
+                got, expected.dmax, expected.winners, expected.unique, expected.sample_maximizer
+            )
+
+    @pytest.mark.parametrize(
+        "z, solves",
+        [(path_adjacency(3), 1), (path_adjacency(4), 6), (_cycle_adjacency(4), 2)],
+        ids=["path-3", "path-4", "cycle-4"],
+    )
+    def test_slow_path_solve_counts(self, monkeypatch, z, solves):
+        # without pruning these take 3, 11 and 6 solves: one per UNRESOLVED
+        # mask plus one per winner
+        module = importlib.import_module("maxdiv.maximize")
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_weighting_space(*args)
+
+        monkeypatch.setattr(module, "solve_weighting_space", counted)
+        maximize_exhaustive(z)
+        assert len(calls) == solves
 
 
 class TestFastPath:
