@@ -2,7 +2,9 @@
 """Benchmark the two kernel backends (numba JIT vs pure numpy) against each
 other on the package's hot loops.
 
-Run: python benchmarks/bench_kernels.py [--sizes 8,10,12] [--resolution 40]
+Run from the root of a checkout:
+
+    PYTHONPATH=src python benchmarks/bench_kernels.py [--scan-sizes 8,10,12] [--grid-sizes 3,4,5] [--resolution 40]
 """
 
 import argparse

@@ -14,15 +14,22 @@ Two operations dominate runtime and are implemented twice:
   lattice distribution for several orders in one pass.
 
 The numba backend compiles tight scalar loops; the numpy backend batches the
-same arithmetic.  Selection: env var ``MAXDIV_NUMBA=0`` (or numba being
-unimportable) picks the numpy path, anything else prefers numba.  The active
-backend can also be switched at runtime with :func:`set_backend`, which the
-benchmark and the backend-parity tests rely on.
+same arithmetic.  The numpy scan walks the masks in bounded blocks, groups
+each block by subset size, and gathers a group as ``a[row, col, batch]``
+with the batch axis last and contiguous.  Its partial-pivot elimination
+swaps and updates only the trailing block (columns ``col..k``), the only
+part read again, so its pivots and dead-pivot flags are those of a
+full-row elimination; against the scalar loop only the summation order of
+the back-substitution and the residual differs.
+
+Selection: env var ``MAXDIV_NUMBA=0`` (or numba being unimportable) picks
+the numpy path, anything else prefers numba.  The active backend can also be
+switched at runtime with :func:`set_backend`, which the benchmark and the
+backend-parity tests rely on.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from functools import lru_cache
@@ -163,59 +170,80 @@ def _scan_subsets_loop(z, solve_tol, pivot_rtol):
 _scan_subsets_numba = njit(cache=True)(_scan_subsets_loop) if HAS_NUMBA else None
 
 
-def _subset_index_batches(n, k, chunk=65536):
-    """Yield (masks, index array) batches for all k-subsets of range(n)."""
-    combos = itertools.combinations(range(n), k)
-    while True:
-        block = list(itertools.islice(combos, chunk))
-        if not block:
-            return
-        subs = np.array(block, dtype=np.int64)
-        masks = (1 << subs).sum(axis=1)
-        yield masks, subs
+def _subset_groups(n, block=65536):
+    """Yield ``(masks, members)`` for every nonempty subset of ``range(n)``.
+
+    Masks are walked in ascending blocks of ``block`` and each block is split
+    by popcount, so a group holds subsets of one size k: ``masks`` ascends
+    and ``members[j, b]`` is the j-th smallest element of subset ``masks[b]``
+    (shape ``(k, len(masks))``, batch last).  Memory is bounded by the block.
+    """
+    total = (1 << n) - 1
+    shifts = np.arange(n, dtype=np.int64)[:, None]
+    for lo in range(1, total + 1, block):
+        masks = np.arange(lo, min(lo + block, total + 1), dtype=np.int64)
+        sizes = ((masks >> shifts) & 1).sum(axis=0)
+        for k in range(1, n + 1):
+            group = masks[sizes == k]
+            if group.size == 0:
+                continue
+            members = np.empty((k, group.size), dtype=np.int64)
+            rest = group.copy()
+            for j in range(k):
+                low = rest & -rest  # lowest set bit; frexp gives its index exactly
+                members[j] = np.frexp(low)[1] - 1
+                rest ^= low
+            yield group, members
 
 
 def _scan_subsets_numpy(z, solve_tol, pivot_rtol):
-    # Batched partial-pivot elimination over all subsets of one cardinality
-    # at a time; members with a dead pivot come back UNRESOLVED and those
-    # with a bad residual UNRELIABLE, for the caller's slow path.
+    # The elimination of _scan_subsets_loop, run on all subsets of one size
+    # at once.  Each group is gathered as a[row, col, batch], so the pivot
+    # search, the row swap, the update and the back-substitution all run
+    # along the contiguous batch axis.  Swaps and updates touch only the
+    # trailing block (columns col..k): columns left of col are never read
+    # again, and every value in the block goes through the same operations
+    # as in a full-row elimination, so pivots, dead flags and w come out
+    # unchanged.  Dead pivots give UNRESOLVED and bad residuals UNRELIABLE,
+    # for the caller's slow path.
     n = z.shape[0]
     total = (1 << n) - 1
     status = np.empty(total, np.int8)
     mags = np.full(total, np.nan)
-    rows = np.arange(0)
-    for k in range(1, n + 1):
-        for masks, subs in _subset_index_batches(n, k):
-            nb = subs.shape[0]
-            if rows.shape[0] != nb:
-                rows = np.arange(nb)
-            sub = z[subs[:, :, None], subs[:, None, :]]
-            aug = np.concatenate([sub, np.ones((nb, k, 1))], axis=2)
-            thresh = pivot_rtol * np.abs(sub).max(axis=(1, 2))
-            dead = np.zeros(nb, dtype=bool)
-            for col in range(k):
-                piv = np.abs(aug[:, col:, col]).argmax(axis=1) + col
-                tmp = aug[rows, piv].copy()
-                aug[rows, piv] = aug[rows, col]
-                aug[rows, col] = tmp
-                pv = aug[:, col, col]
-                dead |= np.abs(pv) <= thresh
-                safe = np.where(dead, 1.0, pv)
-                factors = aug[:, col + 1 :, col] / safe[:, None]
-                aug[:, col + 1 :, :] -= factors[:, :, None] * aug[:, col, :][:, None, :]
-            w = np.empty((nb, k))
-            for r in range(k - 1, -1, -1):
-                acc = aug[:, r, k] - (aug[:, r, r + 1 : k] * w[:, r + 1 :]).sum(axis=1)
-                w[:, r] = acc / np.where(dead, 1.0, aug[:, r, r])
-            resid = np.abs(np.einsum("bij,bj->bi", sub, w) - 1.0).max(axis=1)
-            bad = dead | ~np.isfinite(resid) | (resid > solve_tol)
-            st = np.select(
-                [dead, bad, w.min(axis=1) >= -solve_tol],
-                [UNRESOLVED, UNRELIABLE, UNIQUE_NONNEG],
-                UNIQUE_NEG,
-            )
-            status[masks - 1] = st.astype(np.int8)
-            mags[masks - 1] = np.where(bad, np.nan, w.sum(axis=1))
+    # z with a column of ones: one gather from it yields [Z_B | 1]
+    z1 = np.hstack([z, np.ones((n, 1))]).ravel()
+    for masks, idx in _subset_groups(n):
+        k, nb = idx.shape
+        cols = np.vstack([idx, np.full((1, nb), n)])
+        aug = z1.take((idx * (n + 1))[:, None, :] + cols[None, :, :])
+        sub = aug[:, :k]
+        a = aug.copy()
+        thresh = pivot_rtol * np.abs(sub).max(axis=(0, 1))
+        dead = np.zeros(nb, dtype=bool)
+        for col in range(k):
+            piv = np.abs(a[col:, col]).argmax(axis=0)
+            swap = np.flatnonzero(piv)
+            rows = piv[swap] + col
+            prow = a[rows, col:, swap]
+            a[rows, col:, swap] = a[col, col:, swap]
+            a[col, col:, swap] = prow
+            pv = a[col, col]
+            dead |= np.abs(pv) <= thresh
+            factors = a[col + 1 :, col] / np.where(dead, 1.0, pv)
+            a[col + 1 :, col + 1 :] -= factors[:, None, :] * a[col, col + 1 :]
+        w = np.empty((k, nb))
+        for r in range(k - 1, -1, -1):
+            acc = a[r, k] - (a[r, r + 1 : k] * w[r + 1 :]).sum(axis=0)
+            w[r] = acc / np.where(dead, 1.0, a[r, r])
+        resid = np.abs((sub * w).sum(axis=1) - 1.0).max(axis=0)
+        bad = dead | ~np.isfinite(resid) | (resid > solve_tol)
+        st = np.select(
+            [dead, bad, w.min(axis=0) >= -solve_tol],
+            [UNRESOLVED, UNRELIABLE, UNIQUE_NONNEG],
+            UNIQUE_NEG,
+        )
+        status[masks - 1] = st
+        mags[masks - 1] = np.where(bad, np.nan, w.sum(axis=0))
     return status, mags
 
 
@@ -383,15 +411,22 @@ if HAS_NUMBA:
         return best_vals, best_pts
 
 
-def _compositions_rec(n: int, m: int) -> np.ndarray:
-    if n == 1:
-        return np.array([[m]], dtype=np.int32)
-    blocks = []
-    for k in range(m, -1, -1):
-        tail = _compositions_rec(n - 1, m - k)
-        head = np.full((tail.shape[0], 1), k, dtype=np.int32)
-        blocks.append(np.hstack([head, tail]))
-    return np.vstack(blocks)
+def _add_part(table, t):
+    # Compositions of t with one more leading part: heads t, t-1, ..., 0,
+    # each over every row of table[t - head] (tail totals 0, 1, ..., t).
+    tails = table[: t + 1]
+    heads = np.repeat(np.arange(t, -1, -1, dtype=np.int32), [len(tail) for tail in tails])
+    return np.column_stack([heads, np.concatenate(tails)])
+
+
+def _compositions_table(n: int, m: int) -> np.ndarray:
+    # Bottom-up over the number of parts: table[t] holds the compositions of
+    # t into the current number of parts, for every total t <= m.  The last
+    # part count is built for the total m alone.
+    table = [np.array([[t]], dtype=np.int32) for t in range(m + 1)]
+    for _ in range(2, n):
+        table = [_add_part(table, t) for t in range(m + 1)]
+    return _add_part(table, m) if n > 1 else table[m]
 
 
 @lru_cache(maxsize=8)
@@ -400,7 +435,7 @@ def compositions(n: int, m: int) -> np.ndarray:
 
     Canonical order: lexicographically decreasing, matching the numba sweep.
     """
-    out = _compositions_rec(n, m)
+    out = _compositions_table(n, m)
     out.setflags(write=False)
     return out
 
