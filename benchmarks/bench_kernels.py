@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the two kernel backends (numba JIT vs pure numpy) against each
-other on the package's hot loops.
+"""Time the package's two numpy kernels: the subset scan behind
+``maximize_exhaustive`` and the lattice sweep behind ``grid_max``.
 
 Run from the root of a checkout:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--scan-sizes 8,10,12] [--grid-sizes 3,4,5] [--resolution 40]
+
+Each row is the best of three timed calls after one warm-up call.
 """
 
 import argparse
@@ -13,7 +15,6 @@ import time
 
 import numpy as np
 
-from maxdiv import available_backends, set_backend
 from maxdiv.kernels import grid_best, scan_subsets
 
 QS = np.array([0.0, 0.5, 1.0, 2.0, 8.0, math.inf])
@@ -27,7 +28,7 @@ def random_similarity(rng, n):
 
 
 def time_call(fn, repeats=3):
-    fn()  # warm up (JIT compile / cache fill)
+    fn()  # warm up (compositions cache fill)
     best = math.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -40,11 +41,7 @@ def bench_scan(rng, sizes):
     rows = []
     for n in sizes:
         z = random_similarity(rng, n)
-        times = {}
-        for backend in available_backends():
-            set_backend(backend)
-            times[backend] = time_call(lambda: scan_subsets(z, 1e-9, 1e-10))
-        rows.append((f"subset scan n={n} ({2**n - 1} subsets)", times))
+        rows.append((f"subset scan n={n} ({2**n - 1} subsets)", time_call(lambda: scan_subsets(z, 1e-9, 1e-10))))
     return rows
 
 
@@ -52,12 +49,8 @@ def bench_grid(rng, sizes, resolution):
     rows = []
     for n in sizes:
         z = random_similarity(rng, n)
-        times = {}
-        for backend in available_backends():
-            set_backend(backend)
-            times[backend] = time_call(lambda: grid_best(z, QS, resolution))
         label = f"lattice sweep n={n} m={resolution} ({math.comb(resolution + n - 1, n - 1)} points x {len(QS)} orders)"
-        rows.append((label, times))
+        rows.append((label, time_call(lambda: grid_best(z, QS, resolution))))
     return rows
 
 
@@ -70,29 +63,15 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    backends = available_backends()
-    print(f"backends: {', '.join(backends)}")
-    if len(backends) < 2:
-        print("numba unavailable; timing the numpy path only")
-
     rows = bench_scan(rng, [int(s) for s in args.scan_sizes.split(",")])
     rows += bench_grid(rng, [int(s) for s in args.grid_sizes.split(",")], args.resolution)
 
     width = max(len(label) for label, _ in rows)
-    header = f"{'kernel':<{width}}"
-    for b in backends:
-        header += f"  {b:>12}"
-    if len(backends) == 2:
-        header += f"  {'speedup':>8}"
+    header = f"{'kernel':<{width}}  {'time':>12}"
     print(header)
     print("-" * len(header))
-    for label, times in rows:
-        line = f"{label:<{width}}"
-        for b in backends:
-            line += f"  {times[b] * 1e3:>10.2f}ms"
-        if len(backends) == 2:
-            line += f"  {times['numpy'] / times['numba']:>7.1f}x"
-        print(line)
+    for label, seconds in rows:
+        print(f"{label:<{width}}  {seconds * 1e3:>10.2f}ms")
 
 
 if __name__ == "__main__":

@@ -35,7 +35,6 @@ from .graphs import (
     maximum_clique,
     maximum_independent_set,
 )
-from .kernels import available_backends, get_backend, set_backend
 from .linalg import (
     SimilarityMatrix,
     WeightingSolution,
@@ -85,7 +84,6 @@ __all__ = [
     "SimilarityMatrix",
     "WeightingSolution",
     "adjacency_matrix",
-    "available_backends",
     "clique_capacity",
     "clique_number",
     "covering_number",
@@ -96,7 +94,6 @@ __all__ = [
     "find_nonnegative_weighting",
     "find_positive_weighting",
     "full_support_diagnostics",
-    "get_backend",
     "grid_max",
     "grid_max_multi",
     "independence_number",
@@ -115,7 +112,6 @@ __all__ = [
     "power_mean",
     "refine",
     "restrict",
-    "set_backend",
     "solve_weighting_space",
     "stationarity_gap",
     "uniform",

@@ -26,8 +26,6 @@ from .graphs import (
 from .io import parse_abundances, parse_community, parse_graph, parse_matrix, parse_metric
 from .linalg import (
     find_positive_weighting,
-    is_positive_definite,
-    is_positive_semidefinite,
     is_strictly_diagonally_dominant,
     is_ultrametric,
     solve_weighting_space,
@@ -212,8 +210,8 @@ def diagnose_cmd(ctx, matrix_path, as_json):
     ws = solve_weighting_space(z)
     info = {
         "symmetric": z.symmetric,
-        "positive_semidefinite": is_positive_semidefinite(z),
-        "positive_definite": is_positive_definite(z),
+        "positive_semidefinite": diag.positive_semidefinite,
+        "positive_definite": diag.positive_definite,
         "ultrametric": is_ultrametric(z),
         "strictly_diagonally_dominant": is_strictly_diagonally_dominant(z),
         "min_eigenvalue": diag.min_eigenvalue,

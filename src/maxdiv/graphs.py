@@ -41,6 +41,11 @@ def _check_edges(n, edges, kind):
     return frozenset(out)
 
 
+def _missing_edges(g):
+    # the vertex pairs that are not edges of g: the edges of its complement
+    return [(i, j) for i, j in combinations(range(g.n), 2) if (i, j) not in g.edges]
+
+
 @dataclass(frozen=True)
 class ReflexiveGraph:
     """Undirected graph with an implicit loop on every vertex; ``edges``
@@ -54,10 +59,7 @@ class ReflexiveGraph:
         object.__setattr__(self, "edges", _check_edges(int(n), edges, "reflexive"))
 
     def complement(self) -> "IrreflexiveGraph":
-        missing = {
-            (i, j) for i, j in combinations(range(self.n), 2) if (i, j) not in self.edges
-        }
-        return IrreflexiveGraph(self.n, missing)
+        return IrreflexiveGraph(self.n, _missing_edges(self))
 
 
 @dataclass(frozen=True)
@@ -72,10 +74,7 @@ class IrreflexiveGraph:
         object.__setattr__(self, "edges", _check_edges(int(n), edges, "loop-free"))
 
     def complement(self) -> ReflexiveGraph:
-        missing = {
-            (i, j) for i, j in combinations(range(self.n), 2) if (i, j) not in self.edges
-        }
-        return ReflexiveGraph(self.n, missing)
+        return ReflexiveGraph(self.n, _missing_edges(self))
 
 
 def path_graph(n: int) -> ReflexiveGraph:

@@ -22,6 +22,7 @@ from .errors import InputError, PreconditionError
 from .kernels import UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, scan_subsets
 from .linalg import (
     PIVOT_RTOL,
+    PSD_FLOOR_RTOL,
     SOLVE_TOL,
     SimilarityMatrix,
     WeightingSolution,
@@ -118,7 +119,7 @@ def full_support_diagnostics(z: SimilarityMatrix) -> FullSupportDiagnostics:
     """
     if not z.symmetric:
         raise PreconditionError(_NONSYMMETRIC_MSG)
-    floor = 1e-9 * float(np.abs(z.values).max())
+    floor = PSD_FLOOR_RTOL * float(np.abs(z.values).max())
     eigs = np.linalg.eigvalsh(z.values)
     psd = bool(eigs.min() >= -floor)
     pd = bool(eigs.min() > floor)

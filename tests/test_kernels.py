@@ -1,14 +1,20 @@
 """The numpy kernels against plain reference implementations."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from maxdiv import adjacency_matrix
 from maxdiv.kernels import (
-    _scan_subsets_loop,
-    _scan_subsets_numpy,
+    UNRELIABLE,
+    UNRESOLVED,
     _subset_groups,
     compositions,
+    scan_subsets,
 )
 
 from helpers import path_adjacency, random_duplicated_psd, random_graph, random_symmetric
@@ -28,13 +34,13 @@ def _scan_cases():
 
 
 def test_numpy_scan_matches_scalar_loop():
-    # without numba, _scan_subsets_loop is the plain Python reference; only
-    # summation order differs between the two, never the pivots
+    # _scan_subsets_loop is the plain Python reference; only summation
+    # order differs between the two, never the pivots
     cases = _scan_cases()
     assert len(cases) >= 120
     seen = set()
     for z in cases:
-        status, mags = _scan_subsets_numpy(z, 1e-9, 1e-10)
+        status, mags = scan_subsets(z, 1e-9, 1e-10)
         ref_status, ref_mags = _scan_subsets_loop(z, 1e-9, 1e-10)
         assert np.array_equal(status, ref_status)
         assert np.array_equal(np.isnan(mags), np.isnan(ref_mags))
@@ -56,6 +62,83 @@ def test_subset_groups_cover_every_mask_once(n, block):
             assert row == [i for i in range(n) if (mask >> i) & 1]
         seen.extend(masks.tolist())
     assert sorted(seen) == list(range(1, 2**n))
+
+
+def _scan_subsets_loop(z, solve_tol, pivot_rtol):
+    # One Gaussian elimination with partial pivoting per nonempty subset.
+    # Returns status per mask-1 plus the magnitude (sum of the unique
+    # weighting) where the solve succeeded.
+    n = z.shape[0]
+    total = (1 << n) - 1
+    status = np.empty(total, np.int8)
+    mags = np.full(total, np.nan)
+    idx = np.empty(n, np.int64)
+    a = np.empty((n, n + 1))
+    w = np.empty(n)
+    for mask in range(1, total + 1):
+        k = 0
+        for i in range(n):
+            if (mask >> i) & 1:
+                idx[k] = i
+                k += 1
+        big = 0.0
+        for r in range(k):
+            for c in range(k):
+                v = z[idx[r], idx[c]]
+                a[r, c] = v
+                if abs(v) > big:
+                    big = abs(v)
+            a[r, k] = 1.0
+        thresh = pivot_rtol * big
+        singular = False
+        for col in range(k):
+            piv = col
+            pv = abs(a[col, col])
+            for r in range(col + 1, k):
+                if abs(a[r, col]) > pv:
+                    pv = abs(a[r, col])
+                    piv = r
+            if pv <= thresh:
+                singular = True
+                break
+            if piv != col:
+                for c in range(col, k + 1):
+                    tmp = a[col, c]
+                    a[col, c] = a[piv, c]
+                    a[piv, c] = tmp
+            for r in range(col + 1, k):
+                f = a[r, col] / a[col, col]
+                if f != 0.0:
+                    for c in range(col, k + 1):
+                        a[r, c] -= f * a[col, c]
+        if singular:
+            status[mask - 1] = UNRESOLVED
+            continue
+        for r in range(k - 1, -1, -1):
+            s = a[r, k]
+            for c in range(r + 1, k):
+                s -= a[r, c] * w[c]
+            w[r] = s / a[r, r]
+        # residual check against the original submatrix
+        resid = 0.0
+        wmin = np.inf
+        for r in range(k):
+            s = -1.0
+            for c in range(k):
+                s += z[idx[r], idx[c]] * w[c]
+            if abs(s) > resid:
+                resid = abs(s)
+            if w[r] < wmin:
+                wmin = w[r]
+        if resid > solve_tol:
+            status[mask - 1] = UNRELIABLE
+            continue
+        total_w = 0.0
+        for r in range(k):
+            total_w += w[r]
+        mags[mask - 1] = total_w
+        status[mask - 1] = 0 if wmin >= -solve_tol else 1
+    return status, mags
 
 
 def _compositions_recursive(n, m):
@@ -80,3 +163,17 @@ def test_compositions_match_recursive_builder(n):
         assert not out.flags.writeable
         with pytest.raises(ValueError):
             out[0, 0] = 1
+
+
+def test_kernel_benchmark_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH="src")
+    res = subprocess.run(
+        [sys.executable, "benchmarks/bench_kernels.py", "--scan-sizes", "4", "--grid-sizes", "3", "--resolution", "5"],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    rows = [line for line in res.stdout.splitlines() if line.endswith("ms")]
+    assert len(rows) == 2
+    assert rows[0].startswith("subset scan n=4 ")
+    assert rows[1].startswith("lattice sweep n=3 m=5 ")

@@ -184,7 +184,7 @@ class TestExhaustive:
 
 
 class TestScanBackends:
-    def test_scan_matches_slow_solver(self, each_backend):
+    def test_scan_matches_slow_solver(self):
         # every UNIQUE_NONNEG mask must agree with the row-reduction solver
         rng = np.random.default_rng(83)
         for trial in range(12):
@@ -206,7 +206,7 @@ class TestScanBackends:
                     # a dead pivot in the scan is a kernel for the solver
                     assert ws.nullspace.shape[0] >= 1
 
-    def test_full_rank_residual_failure_is_unreliable(self, each_backend):
+    def test_full_rank_residual_failure_is_unreliable(self):
         # the last pivot, 3e-9, clears the pivot threshold, but the weighting
         # has entries near 3e7 and its residual (2.5e-9) misses SOLVE_TOL
         z = np.array([[1.0, 0.9], [0.9, 0.81 + 3e-9]])
@@ -214,7 +214,7 @@ class TestScanBackends:
         assert status.tolist() == [UNIQUE_NONNEG, UNIQUE_NONNEG, UNRELIABLE]
         assert np.isnan(mags[2])
 
-    def test_unresolved_is_exactly_singular_on_graphs(self, each_backend):
+    def test_unresolved_is_exactly_singular_on_graphs(self):
         # 0/1 matrices have integer determinants, so |det| < 0.5 is exact
         rng = np.random.default_rng(91)
         graphs = [path_adjacency(n) for n in (3, 5, 8)]
@@ -227,35 +227,6 @@ class TestScanBackends:
                 for idx in (_mask_indices(mask, n) for mask in range(1, 2**n))
             )
             assert int((status == UNRESOLVED).sum()) == singular
-
-    def test_status_and_magnitudes_match_across_backends(self):
-        from maxdiv import set_backend, get_backend, available_backends
-
-        if len(available_backends()) < 2:
-            pytest.skip("numba unavailable")
-        rng = np.random.default_rng(89)
-        cases = []
-        for trial in range(25):
-            n = int(rng.integers(2, 8))
-            if trial % 3 == 0:
-                cases.append(adjacency_matrix(random_graph(rng, n)).values)
-            elif trial % 3 == 1:
-                cases.append(random_symmetric(rng, n).values)
-            else:
-                cases.append(random_duplicated_psd(rng, n).values)
-        old = get_backend()
-        try:
-            results = {}
-            for backend in available_backends():
-                set_backend(backend)
-                results[backend] = [scan_subsets(z, 1e-9, 1e-10) for z in cases]
-        finally:
-            set_backend(old)
-        for (s1, m1), (s2, m2) in zip(results["numba"], results["numpy"]):
-            assert np.array_equal(s1, s2)
-            both = ~np.isnan(m1) & ~np.isnan(m2)
-            assert np.array_equal(np.isnan(m1), np.isnan(m2))
-            assert np.abs(m1[both] - m2[both]).max() <= 1e-12
 
 
 def _mask_indices(mask, n):
