@@ -23,14 +23,9 @@ from .graphs import (
     epsilon_entropy_bounds,
     independence_number,
 )
-from .io import parse_abundances, parse_community, parse_graph, parse_matrix, parse_metric
-from .linalg import (
-    find_positive_weighting,
-    is_strictly_diagonally_dominant,
-    is_ultrametric,
-    solve_weighting_space,
-)
-from .maximize import SUBSET_CAP, full_support_diagnostics, maximize, maximize_exhaustive, maximize_fast_path
+from .io import parse_community, parse_graph, parse_matrix, parse_metric
+from .linalg import is_strictly_diagonally_dominant, is_ultrametric, solve_weighting_space
+from .maximize import SUBSET_CAP, _full_support, maximize, maximize_exhaustive, maximize_fast_path
 
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
@@ -206,8 +201,8 @@ def maximize_cmd(ctx, matrix_path, method, families, cap, as_json):
 def diagnose_cmd(ctx, matrix_path, as_json):
     """Matrix-class predicates and species-preservation findings."""
     z = parse_matrix(_read(matrix_path))
-    diag = full_support_diagnostics(z)
     ws = solve_weighting_space(z)
+    diag = _full_support(z, ws)
     info = {
         "symmetric": z.symmetric,
         "positive_semidefinite": diag.positive_semidefinite,

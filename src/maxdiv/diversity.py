@@ -124,6 +124,11 @@ def diversity(z: SimilarityMatrix, p: Distribution, q) -> float:
     leave the value bit-for-bit unchanged.
     """
     q = check_order(q)
+    return 1.0 / _power_mean_core(*_support_ordinariness(z, p), q - 1.0)
+
+
+def _support_ordinariness(z: SimilarityMatrix, p: Distribution):
+    """``(p, Zp)`` on the support of ``p``, from the support submatrix alone."""
     if z.n != p.n:
         raise InputError(f"matrix is {z.n}x{z.n} but distribution has {p.n} entries")
     sup = p.support
@@ -131,7 +136,7 @@ def diversity(z: SimilarityMatrix, p: Distribution, q) -> float:
     xs = z.values[np.ix_(sup, sup)] @ ps
     if (xs <= 0).any():
         raise InputError("ordinariness must be positive on the support")
-    return 1.0 / _power_mean_core(ps, xs, q - 1.0)
+    return ps, xs
 
 
 @dataclass(frozen=True)
@@ -165,7 +170,8 @@ def diversity_profile(z: SimilarityMatrix, p: Distribution, orders=DEFAULT_ORDER
         raise InputError("order grid must be nonempty")
     if any(b <= a for a, b in zip(qs, qs[1:])):
         raise InputError("order grid must be strictly ascending")
-    return DiversityProfile(qs, tuple(diversity(z, p, q) for q in qs))
+    ps, xs = _support_ordinariness(z, p)
+    return DiversityProfile(qs, tuple(1.0 / _power_mean_core(ps, xs, q - 1.0) for q in qs))
 
 
 def _subset_indices(subset, n: int) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Dense linear algebra for small symmetric similarity matrices.
 
-Everything here works at desk scale (n capped around 30): weighting-space
-solves via row reduction with a declared pivot threshold, phase-1 LP
-feasibility for nonnegative weightings, and the matrix-class predicates used
-by the maximizer's fast paths.
+Everything here works on dense matrices at desk scale: subsets of at most
+30 species in the sweep, full matrices in the low hundreds on the fast paths.
+It holds weighting-space solves via row reduction with a declared pivot
+threshold, phase-1 LP feasibility for nonnegative weightings, and the
+matrix-class predicates used by the maximizer's fast paths.
 """
 
 from __future__ import annotations
@@ -138,36 +139,28 @@ def _solve_affine(a: np.ndarray, b: np.ndarray):
     """
     k = a.shape[0]
     pivot_tol = PIVOT_RTOL * float(np.abs(a).max())
-    aug = np.concatenate([a, b[:, None]], axis=1).astype(np.float64)
-    pivots = _rref(aug, k, pivot_tol)
-    rank = len(pivots)
-    free = [c for c in range(k) if c not in pivots]
-
-    nullspace = np.zeros((len(free), k))
-    for row, f in enumerate(free):
-        nullspace[row, f] = 1.0
-        for r, c in enumerate(pivots):
-            nullspace[row, c] = -aug[r, f]
-
-    # rows below the rank must have (near) zero right-hand side
-    if rank < k and np.abs(aug[rank:, k]).max() > SOLVE_TOL:
-        return None, nullspace
-
     x = np.zeros(k)
-    for r, c in enumerate(pivots):
-        x[c] = aug[r, k]
-    resid = np.abs(a @ x - b).max() if k else 0.0
-    if resid > SOLVE_TOL:
-        # one step of iterative refinement through the same reduction
-        aug2 = np.concatenate([a, (b - a @ x)[:, None]], axis=1).astype(np.float64)
-        piv2 = _rref(aug2, k, pivot_tol)
-        e = np.zeros(k)
-        for r, c in enumerate(piv2):
-            e[c] = aug2[r, k]
-        x = x + e
-        if np.abs(a @ x - b).max() > SOLVE_TOL:
-            return None, nullspace
-    return x, nullspace
+    rhs = b
+    nullspace = None
+    for _ in range(2):  # pass two refines once, on the residual of pass one
+        aug = np.concatenate([a, rhs[:, None]], axis=1)
+        pivots = _rref(aug, k, pivot_tol)
+        if nullspace is None:
+            rank = len(pivots)
+            free = [c for c in range(k) if c not in pivots]
+            nullspace = np.zeros((len(free), k))
+            for row, f in enumerate(free):
+                nullspace[row, f] = 1.0
+                nullspace[row, pivots] = -aug[:rank, f]
+            # rows below the rank must have (near) zero right-hand side
+            if rank < k and np.abs(aug[rank:, k]).max() > SOLVE_TOL:
+                return None, nullspace
+        for r, c in enumerate(pivots):
+            x[c] += aug[r, k]
+        rhs = b - a @ x
+        if np.abs(rhs).max() <= SOLVE_TOL:
+            return x, nullspace
+    return None, nullspace
 
 
 def _check_subset(n: int, subset) -> tuple[int, ...]:
@@ -289,26 +282,18 @@ def find_nonnegative_weighting(ws: WeightingSolution) -> np.ndarray | None:
     return _phase1_nonneg(ws.particular, ws.nullspace)
 
 
-def find_positive_weighting(z: SimilarityMatrix, subset=None, eps: float = POSITIVITY_EPS):
-    """A weighting with every entry >= ``eps`` on ``Z_B``, or ``None``.
+def _positive_weighting(ws: WeightingSolution, eps: float = POSITIVITY_EPS):
+    """A weighting in ``ws`` with every entry >= ``eps``, or ``None``: each
+    ``w - eps`` solves ``Z_B y = 1 - eps * Z_B 1``, so search from ``particular - eps``."""
+    if ws.particular is None:
+        return None
+    y = find_nonnegative_weighting(replace(ws, particular=ws.particular - eps))
+    return None if y is None else eps + np.maximum(y, 0.0)
 
-    Substitutes ``w = eps + y`` and runs the same feasibility machinery on
-    ``Z_B y = 1 - eps * Z_B 1``.
-    """
-    if subset is None:
-        subset = range(z.n)
-    idx = _check_subset(z.n, subset)
-    a = z.sub(idx)
-    b = 1.0 - eps * a.sum(axis=1)
-    y0, nullspace = _solve_affine(a, b)
-    if y0 is None:
-        return None
-    if y0.min() < -SOLVE_TOL and nullspace.shape[0] == 0:
-        return None
-    y = y0 if y0.min() >= -SOLVE_TOL else _phase1_nonneg(y0, nullspace)
-    if y is None:
-        return None
-    return eps + np.maximum(y, 0.0)
+
+def find_positive_weighting(z: SimilarityMatrix, subset=None, eps: float = POSITIVITY_EPS):
+    """A weighting with every entry >= ``eps`` on ``Z_B``, or ``None``."""
+    return _positive_weighting(solve_weighting_space(z, subset), eps)
 
 
 def magnitude(z: SimilarityMatrix, subset=None) -> float | None:
@@ -322,16 +307,21 @@ def _require_symmetric(z: SimilarityMatrix, what: str):
         raise PreconditionError(f"{what} requires a symmetric matrix")
 
 
+def _spectrum(z: SimilarityMatrix) -> tuple[np.ndarray, float]:
+    """Eigenvalues of symmetric ``Z`` and the floor ``PSD_FLOOR_RTOL * max|Z|``."""
+    return np.linalg.eigvalsh(z.values), PSD_FLOOR_RTOL * float(np.abs(z.values).max())
+
+
 def is_positive_semidefinite(z: SimilarityMatrix) -> bool:
     _require_symmetric(z, "positive semidefiniteness test")
-    floor = PSD_FLOOR_RTOL * float(np.abs(z.values).max())
-    return bool(np.linalg.eigvalsh(z.values).min() >= -floor)
+    eigs, floor = _spectrum(z)
+    return bool(eigs.min() >= -floor)
 
 
 def is_positive_definite(z: SimilarityMatrix) -> bool:
     _require_symmetric(z, "positive definiteness test")
-    floor = PSD_FLOOR_RTOL * float(np.abs(z.values).max())
-    return bool(np.linalg.eigvalsh(z.values).min() > floor)
+    eigs, floor = _spectrum(z)
+    return bool(eigs.min() > floor)
 
 
 def is_ultrametric(z: SimilarityMatrix) -> bool:
@@ -344,8 +334,10 @@ def is_ultrametric(z: SimilarityMatrix) -> bool:
         off = v[~np.eye(n, dtype=bool)]
         if v.diagonal().min() <= off.max():
             return False
-    lows = np.minimum(v[:, :, None], v[None, :, :])  # min(Z_ij, Z_jk) at [i,j,k]
-    return bool((v[:, None, :] >= lows).all())
+    for j in range(n):  # one middle index at a time: O(n^2) memory
+        if not (v >= np.minimum(v[:, j, None], v[j, None, :])).all():
+            return False
+    return True
 
 
 def is_strictly_diagonally_dominant(z: SimilarityMatrix) -> bool:

@@ -22,13 +22,12 @@ from .errors import InputError, PreconditionError
 from .kernels import UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, scan_subsets
 from .linalg import (
     PIVOT_RTOL,
-    PSD_FLOOR_RTOL,
     SOLVE_TOL,
     SimilarityMatrix,
     WeightingSolution,
+    _positive_weighting,
+    _spectrum,
     find_nonnegative_weighting,
-    find_positive_weighting,
-    is_positive_semidefinite,
     is_strictly_diagonally_dominant,
     is_ultrametric,
     solve_weighting_space,
@@ -117,13 +116,20 @@ def full_support_diagnostics(z: SimilarityMatrix) -> FullSupportDiagnostics:
     and admits a positive weighting; every maximizer has full support exactly
     when Z is positive definite with positive weighting.
     """
+    return _full_support(z)
+
+
+def _full_support(z: SimilarityMatrix, ws: WeightingSolution | None = None, spectrum=None):
+    """:func:`full_support_diagnostics`, reusing the full set's weighting space
+    and ``_spectrum(z)`` when given; reduces the full set only if Z is PSD."""
     if not z.symmetric:
         raise PreconditionError(_NONSYMMETRIC_MSG)
-    floor = PSD_FLOOR_RTOL * float(np.abs(z.values).max())
-    eigs = np.linalg.eigvalsh(z.values)
+    eigs, floor = _spectrum(z) if spectrum is None else spectrum
     psd = bool(eigs.min() >= -floor)
     pd = bool(eigs.min() > floor)
-    pos = find_positive_weighting(z) if psd else None
+    pos = None
+    if psd:
+        pos = _positive_weighting(solve_weighting_space(z) if ws is None else ws)
     return FullSupportDiagnostics(
         exists_full_support_maximizer=psd and pos is not None,
         all_maximizers_full_support=pd and pos is not None,
@@ -140,25 +146,13 @@ def _mask_indices(mask: int, n: int) -> tuple[int, ...]:
 
 
 def _certify_uniqueness(winners) -> bool | None:
-    reps = []
-    all_unique = True
-    for fs in winners:
+    reps = np.zeros((len(winners), max(max(fs.indices) for fs in winners) + 1))
+    for rep, fs in zip(reps, winners):
         w = fs.weighting_space.nonnegative
-        rep = np.zeros(max(fs.indices) + 1 if fs.indices else 0)
-        total = max(w.sum(), 1e-300)
-        for i, j in enumerate(fs.indices):
-            rep[j] = max(w[i], 0.0) / total
-        reps.append(rep)
-        if not fs.weighting_space.unique:
-            all_unique = False
-    width = max(r.shape[0] for r in reps)
-    reps = [np.pad(r, (0, width - r.shape[0])) for r in reps]
-    for r in reps[1:]:
-        if np.abs(r - reps[0]).max() > 1e-9:
-            return False  # two distinct maximizing distributions exhibited
-    if all_unique:
-        return True
-    return None
+        rep[list(fs.indices)] = np.maximum(w, 0.0) / max(w.sum(), 1e-300)
+    if np.abs(reps - reps[0]).max() > 1e-9:
+        return False  # two distinct maximizing distributions exhibited
+    return True if all(fs.weighting_space.unique for fs in winners) else None
 
 
 def _slow_path(z: SimilarityMatrix, mask: int):
@@ -198,6 +192,11 @@ def maximize_exhaustive(z: SimilarityMatrix, cap: int = SUBSET_CAP) -> Maximizat
       singular subsets never raise the maximum, and a singular subset ties
       only if a tying nonsingular subset lies inside it.
     """
+    return _sweep(z, cap, None)
+
+
+def _sweep(z: SimilarityMatrix, cap: int, full_support) -> MaximizationResult:
+    """:func:`maximize_exhaustive`; ``full_support`` is the flag pair, or ``None`` to analyse Z."""
     if not z.symmetric:
         raise PreconditionError(_NONSYMMETRIC_MSG)
     if z.n > cap:
@@ -237,13 +236,15 @@ def maximize_exhaustive(z: SimilarityMatrix, cap: int = SUBSET_CAP) -> Maximizat
     dmax = max(fs.magnitude for fs in winners)
     sample_from = min(winners, key=lambda fs: fs.indices)
     sample = normalize_weighting(sample_from.weighting_space.nonnegative, sample_from.indices, z.n)
-    diag = full_support_diagnostics(z)
+    if full_support is None:
+        diag = full_support_diagnostics(z)
+        full_support = (diag.exists_full_support_maximizer, diag.all_maximizers_full_support)
     return MaximizationResult(
         dmax=dmax,
         winners=winners,
         sample_maximizer=sample,
-        full_support_exists=diag.exists_full_support_maximizer,
-        all_maximizers_full_support=diag.all_maximizers_full_support,
+        full_support_exists=full_support[0],
+        all_maximizers_full_support=full_support[1],
         method="exhaustive",
         unique=_certify_uniqueness(winners),
     )
@@ -262,12 +263,13 @@ def maximize_fast_path(z: SimilarityMatrix) -> MaximizationResult | None:
     """
     if not z.symmetric:
         raise PreconditionError(_NONSYMMETRIC_MSG)
+    eigs, floor = spectrum = _spectrum(z)
     unit_diag = bool(np.abs(z.values.diagonal() - 1.0).max() <= 1e-12)
     if is_ultrametric(z):
         method = "ultrametric"
     elif unit_diag and is_strictly_diagonally_dominant(z):
         method = "diagonal-dominance"
-    elif is_positive_semidefinite(z):
+    elif eigs.min() >= -floor:
         method = "positive-semidefinite"
     else:
         return None
@@ -280,7 +282,7 @@ def maximize_fast_path(z: SimilarityMatrix) -> MaximizationResult | None:
         return None
     full = tuple(range(z.n))
     winner = FeasibleSubset(full, float(ws.magnitude), ws.with_nonnegative(w))
-    diag = full_support_diagnostics(z)
+    diag = _full_support(z, ws, spectrum)
     unique = True if diag.all_maximizers_full_support else None
     return MaximizationResult(
         dmax=float(ws.magnitude),
@@ -298,4 +300,7 @@ def maximize(z: SimilarityMatrix, cap: int = SUBSET_CAP) -> MaximizationResult:
     result = maximize_fast_path(z)
     if result is not None:
         return result
-    return maximize_exhaustive(z, cap=cap)
+    # the fast path declines only when Z is not positive semidefinite or the
+    # full set has no nonnegative (so no positive) weighting: either way no
+    # maximizer has full support
+    return _sweep(z, cap, (False, False))

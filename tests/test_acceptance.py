@@ -1,8 +1,7 @@
 """Acceptance suite: one test per shipping criterion, each printing a
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 
-Stated tolerances and runtime limits are asserted as given; the session
-fixture in conftest warms the JIT kernels so timings measure algorithms.
+Stated tolerances and runtime limits are asserted as given.
 """
 
 import itertools

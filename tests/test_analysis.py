@@ -1,0 +1,195 @@
+"""One analysis of the full matrix per call: the spectrum and the full-set
+row reduction are each computed once and shared by the fast path, the
+species-preservation flags and ``maxdiv diagnose``."""
+
+import importlib
+import tracemalloc
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from maxdiv import (
+    SimilarityMatrix,
+    adjacency_matrix,
+    find_positive_weighting,
+    full_support_diagnostics,
+    is_ultrametric,
+    maximize,
+    solve_weighting_space,
+)
+from maxdiv.cli import main
+from maxdiv.linalg import POSITIVITY_EPS, SOLVE_TOL, _phase1_nonneg, _solve_affine
+
+from helpers import (
+    THREE_SPECIES,
+    path_adjacency,
+    random_duplicated_psd,
+    random_graph,
+    random_psd,
+    random_sdd,
+    random_symmetric,
+    random_ultrametric,
+)
+
+
+def _tree_ultrametric(n, base=0.85):
+    """Ultrametric on a complete binary tree: species i and j are
+    ``base ** bit_length(i ^ j)`` similar, at any n."""
+    i = np.arange(n)
+    depth = np.frompyfunc(int.bit_length, 1, 1)(i[:, None] ^ i[None, :]).astype(float)
+    z = base**depth
+    np.fill_diagonal(z, 1.0)
+    return SimilarityMatrix(z)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of ``np.linalg.eigvalsh`` and row-reduction calls."""
+    linalg = importlib.import_module("maxdiv.linalg")
+    counts = {"eigvalsh": 0, "_rref": 0}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(np.linalg, "eigvalsh")
+    count(linalg, "_rref")
+    return counts
+
+
+_RNG = np.random.default_rng(211)
+
+
+@pytest.mark.parametrize(
+    "z, method, eigvalsh, rref",
+    [
+        (_tree_ultrametric(128), "ultrametric", 1, 1),
+        (random_sdd(_RNG, 128), "diagonal-dominance", 1, 1),
+        (random_duplicated_psd(_RNG, 6), "positive-semidefinite", 1, 1),
+        (random_symmetric(_RNG, 10), "exhaustive", 1, None),
+        (path_adjacency(3), "exhaustive", 1, None),
+    ],
+    ids=["ultrametric-128", "diagonal-dominance-128", "duplicated-psd-6", "dense-10", "path-3"],
+)
+def test_maximize_analyses_the_full_matrix_once(calls, z, method, eigvalsh, rref):
+    assert maximize(z).method == method
+    assert calls["eigvalsh"] == eigvalsh
+    if rref is not None:
+        assert calls["_rref"] == rref
+
+
+def test_diagnose_reduces_the_full_matrix_once(calls, tmp_path):
+    m = tmp_path / "z.csv"
+    m.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in THREE_SPECIES) + "\n")
+    result = CliRunner().invoke(main, ["diagnose", "--matrix", str(m)])
+    assert result.exit_code == 0
+    assert "positive semidefinite: yes" in result.output
+    assert "magnitude: 1.4557" in result.output
+    assert (calls["eigvalsh"], calls["_rref"]) == (1, 1)
+
+
+def test_sweep_flags_match_a_fresh_analysis():
+    # the sweep takes both flags as False from the declined fast path; a
+    # separate analysis of the same matrix must agree
+    rng = np.random.default_rng(223)
+    cases = [path_adjacency(n) for n in range(3, 8)]
+    for _ in range(40):
+        n = int(rng.integers(2, 8))
+        cases += [random_symmetric(rng, n), random_psd(rng, n), random_duplicated_psd(rng, n)]
+        cases.append(adjacency_matrix(random_graph(rng, n, rng.uniform(0.2, 0.7))))
+    swept = psd_swept = 0
+    for z in cases:
+        r = maximize(z)
+        if r.method != "exhaustive":
+            continue
+        d = full_support_diagnostics(z)
+        assert r.full_support_exists == d.exists_full_support_maximizer
+        assert r.all_maximizers_full_support == d.all_maximizers_full_support
+        swept += 1
+        psd_swept += d.positive_semidefinite
+    assert swept >= 50
+    assert psd_swept >= 5  # positive semidefinite, no nonnegative weighting
+
+
+def _positive_weighting_direct(z, subset, eps=POSITIVITY_EPS):
+    """The former direct solve: ``w = eps + y`` with ``y >= 0`` and
+    ``Z_B y = 1 - eps * Z_B 1``, reduced on its own right-hand side."""
+    a = z.sub(subset)
+    y0, nullspace = _solve_affine(a, 1.0 - eps * a.sum(axis=1))
+    if y0 is None:
+        return None
+    if y0.min() < -SOLVE_TOL and nullspace.shape[0] == 0:
+        return None
+    y = y0 if y0.min() >= -SOLVE_TOL else _phase1_nonneg(y0, nullspace)
+    if y is None:
+        return None
+    return eps + np.maximum(y, 0.0)
+
+
+def test_positive_weighting_matches_direct_solve():
+    rng = np.random.default_rng(227)
+    makers = (random_symmetric, random_psd, random_duplicated_psd, random_sdd, random_ultrametric)
+    outcomes = set()
+    shared_kernel = 0
+    for _ in range(80):
+        for make in makers:
+            z = make(rng, int(rng.integers(2, 9)))
+            full = tuple(range(z.n))
+            part = tuple(sorted(rng.choice(z.n, size=int(rng.integers(1, z.n + 1)), replace=False)))
+            for subset in (full, part):
+                got = find_positive_weighting(z, subset)
+                ref = _positive_weighting_direct(z, subset)
+                assert (got is None) == (ref is None)
+                outcomes.add(got is None)
+                if got is None:
+                    continue
+                if solve_weighting_space(z, subset).unique:
+                    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+                else:
+                    # another vertex of the same polytope may come back
+                    shared_kernel += 1
+                    assert got.min() >= POSITIVITY_EPS
+                    assert np.abs(z.sub(subset) @ got - 1.0).max() <= 1e-9
+    assert outcomes == {True, False}
+    assert shared_kernel >= 20
+
+
+def _ultrametric_cubic(z):
+    """The n^3-memory form: every triple at once."""
+    v = z.values
+    n = z.n
+    if n > 1 and v.diagonal().min() <= v[~np.eye(n, dtype=bool)].max():
+        return False
+    lows = np.minimum(v[:, :, None], v[None, :, :])  # min(Z_ij, Z_jk) at [i,j,k]
+    return bool((v[:, None, :] >= lows).all())
+
+
+def test_ultrametric_matches_cubic_form():
+    rng = np.random.default_rng(229)
+    verdicts = []
+    for _ in range(150):
+        z = random_ultrametric(rng, int(rng.integers(2, 12)))
+        v = z.values.copy()
+        i, j = rng.choice(z.n, size=2, replace=False)
+        v[i, j] = v[j, i] = v[i, j] * rng.uniform(0.8, 1.1)
+        for m in (z, SimilarityMatrix(v)):
+            verdicts.append(is_ultrametric(m))
+            assert verdicts[-1] == _ultrametric_cubic(m)
+    assert 50 <= sum(verdicts) <= 250
+
+
+def test_ultrametric_memory_is_quadratic():
+    z = _tree_ultrametric(200)  # the cubic form needs 64 MB here
+    tracemalloc.start()
+    try:
+        assert is_ultrametric(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -1,12 +1,11 @@
 import json
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from maxdiv.cli import main
 
-from helpers import THREE_SPECIES, THREE_SPECIES_MAGNITUDE
+from helpers import THREE_SPECIES
 
 THREE_SPECIES_CSV = "1,0.4,0.4\n0.4,1,0.9\n0.4,0.9,1\n"
 NONSYM_CSV = "1,0.5\n0,1\n"

@@ -21,9 +21,7 @@ from maxdiv import (
 from helpers import (
     NONSYM,
     THREE_SPECIES,
-    THREE_SPECIES_MAXIMIZER,
     random_distribution,
-    random_duplicated_psd,
     random_symmetric,
     random_ultrametric,
 )
@@ -203,6 +201,19 @@ class TestProfile:
             xp = (z.values @ p.probs)[p.support]
             if xp.max() - xp.min() > 1e-9 * xp.max():
                 assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    def test_profile_equals_per_order_diversity_bitwise(self):
+        # the profile takes p and Zp on the support once for every order
+        rng = np.random.default_rng(59)
+        with_zeros = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            z = random_symmetric(rng, n, unit_diag=bool(rng.integers(2)))
+            p = random_distribution(rng, n, zero_prob=0.4)
+            with_zeros += not p.full_support()
+            prof = diversity_profile(z, p)
+            assert prof.values == tuple(diversity(z, p, q) for q in DEFAULT_ORDERS)
+        assert with_zeros >= 50
 
     def test_constant_profile_at_invariant_distribution(self):
         rng = np.random.default_rng(53)

@@ -9,10 +9,8 @@ from maxdiv import (
     FiniteMetric,
     InputError,
     IrreflexiveGraph,
-    NumericalError,
     PreconditionError,
     ReflexiveGraph,
-    SimilarityMatrix,
     adjacency_matrix,
     clique_capacity,
     clique_number,

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from maxdiv import Distribution, ParseError
-from maxdiv.graphs import from_points
 from maxdiv.io import (
     emit_abundances,
     emit_graph,

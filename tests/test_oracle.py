@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from maxdiv import (
-    Distribution,
     GridSpec,
     InputError,
     PreconditionError,
