@@ -41,7 +41,7 @@ def bench_scan(rng, sizes):
     rows = []
     for n in sizes:
         z = random_similarity(rng, n)
-        rows.append((f"subset scan n={n} ({2**n - 1} subsets)", time_call(lambda: scan_subsets(z, 1e-9, 1e-10))))
+        rows.append((f"subset scan n={n} ({2**n - 1} subsets)", time_call(lambda: scan_subsets(z))))
     return rows
 
 

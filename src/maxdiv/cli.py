@@ -25,7 +25,7 @@ from .graphs import (
 )
 from .io import parse_community, parse_graph, parse_matrix, parse_metric
 from .linalg import is_strictly_diagonally_dominant, is_ultrametric, solve_weighting_space
-from .maximize import SUBSET_CAP, _full_support, maximize, maximize_exhaustive, maximize_fast_path
+from .maximize import _check_symmetric, _full_support, maximize, maximize_exhaustive, maximize_fast_path
 
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
@@ -152,15 +152,14 @@ def _maximization_json(result):
 @click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", type=click.Choice(["auto", "exhaustive", "fast"]), default="auto")
 @click.option("--families", is_flag=True, help="Describe the full weighting space of every winner.")
-@click.option("--cap", type=int, default=SUBSET_CAP, help="Size cap for the exhaustive sweep.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output at full precision.")
 @click.pass_context
 @_guarded
-def maximize_cmd(ctx, matrix_path, method, families, cap, as_json):
+def maximize_cmd(ctx, matrix_path, method, families, as_json):
     """Maximum diversity, winning subsets, and a maximizing distribution."""
     z = parse_matrix(_read(matrix_path))
     if method == "exhaustive":
-        result = maximize_exhaustive(z, cap=cap)
+        result = maximize_exhaustive(z)
     elif method == "fast":
         result = maximize_fast_path(z)
         if result is None:
@@ -170,7 +169,7 @@ def maximize_cmd(ctx, matrix_path, method, families, cap, as_json):
                 "nonnegative weighting)"
             )
     else:
-        result = maximize(z, cap=cap)
+        result = maximize(z)
     if as_json:
         click.echo(json.dumps(_maximization_json(result), indent=2))
         return
@@ -201,6 +200,7 @@ def maximize_cmd(ctx, matrix_path, method, families, cap, as_json):
 def diagnose_cmd(ctx, matrix_path, as_json):
     """Matrix-class predicates and species-preservation findings."""
     z = parse_matrix(_read(matrix_path))
+    _check_symmetric(z)  # before the full-set reduction
     ws = solve_weighting_space(z)
     diag = _full_support(z, ws)
     info = {

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
-from .linalg import SimilarityMatrix
+from .linalg import SimilarityMatrix, _check_subset
 
 # Default order grid for profiles: log-spaced plus every special order.
 DEFAULT_ORDERS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, math.inf)
@@ -174,20 +174,11 @@ def diversity_profile(z: SimilarityMatrix, p: Distribution, orders=DEFAULT_ORDER
     return DiversityProfile(qs, tuple(1.0 / _power_mean_core(ps, xs, q - 1.0) for q in qs))
 
 
-def _subset_indices(subset, n: int) -> np.ndarray:
-    idx = sorted(int(i) for i in subset)
-    if len(set(idx)) != len(idx):
-        raise PreconditionError(f"subset has repeated indices: {tuple(idx)}")
-    out = np.asarray(idx, dtype=np.intp)
-    if out.size == 0 or out.min() < 0 or out.max() >= n:
-        raise PreconditionError(f"subset out of range for n={n}")
-    return out
-
-
 def restrict(p: Distribution, subset) -> Distribution:
-    """Restrict ``p`` to the coordinates in ``subset`` (no renormalization;
-    the support must already lie inside the subset)."""
-    idx = _subset_indices(subset, p.n)
+    """Restrict ``p`` to the coordinates in ``subset``, in ascending index
+    order (no renormalization; the support must already lie inside the
+    subset)."""
+    idx = list(_check_subset(p.n, subset))
     outside = np.setdiff1d(np.arange(p.n), idx)
     if (p.probs[outside] != 0).any():
         raise PreconditionError("distribution has mass outside the subset")
@@ -195,10 +186,11 @@ def restrict(p: Distribution, subset) -> Distribution:
 
 
 def extend_by_zero(p: Distribution, subset, n: int) -> Distribution:
-    """Extend a distribution on ``subset`` by zeros to ``{0, ..., n-1}``."""
-    idx = _subset_indices(subset, n)
-    if idx.size != p.n:
-        raise PreconditionError(f"subset size {idx.size} does not match distribution size {p.n}")
+    """Extend a distribution on ``subset`` by zeros to ``{0, ..., n-1}``; the
+    entries of ``p`` follow the ascending order of the subset's indices."""
+    idx = list(_check_subset(n, subset))
+    if len(idx) != p.n:
+        raise PreconditionError(f"subset size {len(idx)} does not match distribution size {p.n}")
     out = np.zeros(n)
     out[idx] = p.probs
     return Distribution(out)

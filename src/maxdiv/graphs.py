@@ -18,8 +18,9 @@ from .diversity import Distribution
 from .errors import InputError, NumericalError, PreconditionError
 from .linalg import SimilarityMatrix
 
+# Largest graph the independent-set search accepts.
 GRAPH_CAP = 30
-# covering numbers are found by brute-force set cover
+# Largest metric the covering search accepts: it is brute-force set cover.
 METRIC_CAP = 20
 
 _METRIC_TOL = 1e-12
@@ -114,12 +115,12 @@ def _degeneracy_order(n, adj):
     return order
 
 
-def maximum_independent_set(g: ReflexiveGraph, cap: int = GRAPH_CAP) -> tuple[int, ...]:
+def maximum_independent_set(g: ReflexiveGraph) -> tuple[int, ...]:
     """A maximum independent set, by branch and bound over the degeneracy
-    order.  Exact; independent of the subset-sweep maximizer so the two can
-    cross-validate."""
-    if g.n > cap:
-        raise PreconditionError(f"graph size {g.n} exceeds the cap {cap}")
+    order, for at most ``GRAPH_CAP`` vertices.  Exact; independent of the
+    subset-sweep maximizer so the two can cross-validate."""
+    if g.n > GRAPH_CAP:
+        raise PreconditionError(f"graph size {g.n} exceeds the cap {GRAPH_CAP}")
     adj = _adjacency_sets(g)
     order = _degeneracy_order(g.n, adj)
     best: list[int] = []
@@ -142,16 +143,16 @@ def maximum_independent_set(g: ReflexiveGraph, cap: int = GRAPH_CAP) -> tuple[in
     return tuple(sorted(best))
 
 
-def independence_number(g: ReflexiveGraph, cap: int = GRAPH_CAP) -> int:
-    return len(maximum_independent_set(g, cap=cap))
+def independence_number(g: ReflexiveGraph) -> int:
+    return len(maximum_independent_set(g))
 
 
-def maximum_clique(x: IrreflexiveGraph, cap: int = GRAPH_CAP) -> tuple[int, ...]:
-    return maximum_independent_set(x.complement(), cap=cap)
+def maximum_clique(x: IrreflexiveGraph) -> tuple[int, ...]:
+    return maximum_independent_set(x.complement())
 
 
-def clique_number(x: IrreflexiveGraph, cap: int = GRAPH_CAP) -> int:
-    return len(maximum_clique(x, cap=cap))
+def clique_number(x: IrreflexiveGraph) -> int:
+    return len(maximum_clique(x))
 
 
 @dataclass(frozen=True)
@@ -161,12 +162,12 @@ class CliqueCapacityResult:
     clique: tuple[int, ...]
 
 
-def clique_capacity(x: IrreflexiveGraph, cap: int = GRAPH_CAP) -> CliqueCapacityResult:
+def clique_capacity(x: IrreflexiveGraph) -> CliqueCapacityResult:
     """Supremum over distributions of the adjacency quadratic form
     ``sum over ordered adjacent pairs of p_i p_j``, which equals
     ``1 - 1/clique_number``; the uniform distribution on a maximum clique
     attains it."""
-    clique = maximum_clique(x, cap=cap)
+    clique = maximum_clique(x)
     omega = len(clique)
     probs = np.zeros(x.n)
     probs[list(clique)] = 1.0 / omega
@@ -222,13 +223,14 @@ def threshold_graph(metric: FiniteMetric, eps: float) -> ReflexiveGraph:
     return ReflexiveGraph(metric.n, edges)
 
 
-def covering_number(metric: FiniteMetric, eps: float, cap: int = METRIC_CAP) -> int:
-    """Fewest closed eps-balls covering the space, by brute-force set cover."""
+def covering_number(metric: FiniteMetric, eps: float) -> int:
+    """Fewest closed eps-balls covering the space, by brute-force set cover
+    over at most ``METRIC_CAP`` points."""
     if eps <= 0:
         raise InputError("eps must be positive")
     n = metric.n
-    if n > cap:
-        raise PreconditionError(f"metric size {n} exceeds the covering cap {cap}")
+    if n > METRIC_CAP:
+        raise PreconditionError(f"metric size {n} exceeds the covering cap {METRIC_CAP}")
     balls = [sum(1 << j for j in range(n) if metric.dist[i, j] <= eps) for i in range(n)]
     full = (1 << n) - 1
     for k in range(1, n + 1):
@@ -248,12 +250,12 @@ class EpsilonEntropyBounds:
     dmax_of_threshold: float
 
 
-def epsilon_entropy_bounds(metric: FiniteMetric, eps: float, cap: int = METRIC_CAP) -> EpsilonEntropyBounds:
+def epsilon_entropy_bounds(metric: FiniteMetric, eps: float) -> EpsilonEntropyBounds:
     """Covering numbers at eps and eps/2 sandwiching the maximum diversity of
     the thresholded similarity matrix."""
-    n_eps = covering_number(metric, eps, cap=cap)
-    n_half = covering_number(metric, eps / 2.0, cap=cap)
-    dmax = float(independence_number(threshold_graph(metric, eps), cap=cap))
+    n_eps = covering_number(metric, eps)
+    n_half = covering_number(metric, eps / 2.0)
+    dmax = float(independence_number(threshold_graph(metric, eps)))
     if not n_eps <= dmax <= n_half:
         raise NumericalError(
             f"covering sandwich violated: N(eps)={n_eps}, Dmax={dmax}, N(eps/2)={n_half}"

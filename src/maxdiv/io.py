@@ -63,26 +63,12 @@ def _parse_square(text, what):
     return rows
 
 
-def parse_matrix(text: str, require_symmetric: bool = False) -> SimilarityMatrix:
-    """Similarity matrix from headerless CSV.
-
-    With ``require_symmetric``, asymmetry beyond 1e-12 is a located parse
-    error; otherwise the asymmetry is recorded on the returned matrix.
-    """
+def parse_matrix(text: str) -> SimilarityMatrix:
+    """Similarity matrix from headerless CSV; asymmetry is recorded on the
+    returned matrix, not refused."""
     rows = _parse_square(text, "matrix")
-    arr = np.array([r for _, r in rows])
-    if require_symmetric:
-        asym = np.abs(arr - arr.T)
-        if asym.max() > 1e-12:
-            i, j = np.unravel_index(asym.argmax(), asym.shape)
-            raise ParseError(
-                f"matrix is not symmetric: entry ({i + 1},{j + 1}) is {arr[i, j]!r} "
-                f"but entry ({j + 1},{i + 1}) is {arr[j, i]!r}",
-                line=rows[i][0],
-                column=int(j) + 1,
-            )
     try:
-        return SimilarityMatrix(arr)
+        return SimilarityMatrix(np.array([r for _, r in rows]))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

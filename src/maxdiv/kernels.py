@@ -5,7 +5,7 @@ Two operations dominate runtime:
 * ``scan_subsets``: sweep all nonempty principal submatrices of a symmetric
   matrix, solving ``Z_B w = 1`` for each and classifying the outcome.  A
   subset the scan cannot settle gets one of two codes: ``UNRESOLVED`` when
-  elimination meets a dead pivot (rank-deficient at ``pivot_rtol``), and
+  elimination meets a dead pivot (rank-deficient at ``PIVOT_RTOL``), and
   ``UNRELIABLE`` when it is full rank but its solution fails the residual
   gate.  The maximizer treats them differently: a singular subset can only
   tie a nonsingular one inside it, while an unreliable one may be a winner
@@ -25,10 +25,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from .linalg import PIVOT_RTOL, SOLVE_TOL
+
 # Subset classification codes.
-UNIQUE_NONNEG = 0  # unique weighting, entrywise >= -solve_tol
+UNIQUE_NONNEG = 0  # unique weighting, entrywise >= -SOLVE_TOL
 UNIQUE_NEG = 1  # unique weighting with a genuinely negative entry
-UNRESOLVED = 2  # rank-deficient: a pivot at or below pivot_rtol
+UNRESOLVED = 2  # rank-deficient: a pivot at or below PIVOT_RTOL
 UNRELIABLE = 3  # full rank, but the solution fails the residual gate
 
 
@@ -62,7 +64,7 @@ def _subset_groups(n, block=65536):
             yield group, members
 
 
-def scan_subsets(z: np.ndarray, solve_tol: float, pivot_rtol: float):
+def scan_subsets(z: np.ndarray):
     """Classify every nonempty principal submatrix of ``z``.
 
     Returns ``(status, magnitudes)`` indexed by ``mask - 1`` where bit ``i``
@@ -93,7 +95,7 @@ def scan_subsets(z: np.ndarray, solve_tol: float, pivot_rtol: float):
         aug = z1.take((idx * (n + 1))[:, None, :] + cols[None, :, :])
         sub = aug[:, :k]
         a = aug.copy()
-        thresh = pivot_rtol * np.abs(sub).max(axis=(0, 1))
+        thresh = PIVOT_RTOL * np.abs(sub).max(axis=(0, 1))
         dead = np.zeros(nb, dtype=bool)
         for col in range(k):
             piv = np.abs(a[col:, col]).argmax(axis=0)
@@ -111,9 +113,9 @@ def scan_subsets(z: np.ndarray, solve_tol: float, pivot_rtol: float):
             acc = a[r, k] - (a[r, r + 1 : k] * w[r + 1 :]).sum(axis=0)
             w[r] = acc / np.where(dead, 1.0, a[r, r])
         resid = np.abs((sub * w).sum(axis=1) - 1.0).max(axis=0)
-        bad = dead | ~np.isfinite(resid) | (resid > solve_tol)
+        bad = dead | ~np.isfinite(resid) | (resid > SOLVE_TOL)
         st = np.select(
-            [dead, bad, w.min(axis=0) >= -solve_tol],
+            [dead, bad, w.min(axis=0) >= -SOLVE_TOL],
             [UNRESOLVED, UNRELIABLE, UNIQUE_NONNEG],
             UNIQUE_NEG,
         )

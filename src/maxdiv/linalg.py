@@ -38,14 +38,14 @@ class SimilarityMatrix:
     Symmetry is detected at construction: if the values are symmetric within
     1e-12 they are averaged with their transpose so that the stored entries
     are bit-equal across the diagonal, and ``symmetric`` is set.  Asymmetric
-    matrices are allowed (diversity evaluation does not need symmetry) unless
-    ``require_symmetric`` is passed.
+    matrices are allowed: diversity evaluation does not need symmetry, and
+    the routines that do refuse a matrix whose ``symmetric`` is unset.
     """
 
     values: np.ndarray
     symmetric: bool = False
 
-    def __init__(self, values, require_symmetric: bool = False):
+    def __init__(self, values):
         arr = np.array(values, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InputError(f"similarity matrix must be square, got shape {arr.shape}")
@@ -62,12 +62,6 @@ class SimilarityMatrix:
         symmetric = asym <= _SYMMETRIZE_TOL
         if symmetric and asym > 0.0:
             arr = (arr + arr.T) / 2.0
-        if require_symmetric and not symmetric:
-            i, j = np.unravel_index(np.abs(arr - arr.T).argmax(), arr.shape)
-            raise InputError(
-                f"matrix is not symmetric: entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) "
-                f"differ by {asym:.3g}"
-            )
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "symmetric", symmetric)
@@ -96,8 +90,8 @@ class WeightingSolution:
     subset: tuple[int, ...]
     particular: np.ndarray | None
     nullspace: np.ndarray
-    nonnegative: np.ndarray | None = None
-    magnitude: float | None = None
+    nonnegative: np.ndarray | None
+    magnitude: float | None
 
     @property
     def unique(self) -> bool:
@@ -164,6 +158,9 @@ def _solve_affine(a: np.ndarray, b: np.ndarray):
 
 
 def _check_subset(n: int, subset) -> tuple[int, ...]:
+    """The indices of ``subset`` in ascending order, after checking that they
+    are nonempty, distinct and in ``range(n)``.  A vector paired with a subset
+    follows this order."""
     idx = tuple(int(i) for i in subset)
     if not idx:
         raise PreconditionError("subset must be nonempty")
@@ -177,9 +174,10 @@ def _check_subset(n: int, subset) -> tuple[int, ...]:
 def solve_weighting_space(z: SimilarityMatrix, subset=None) -> WeightingSolution:
     """Solve ``Z_B w = 1``: particular solution, kernel basis, magnitude.
 
-    ``subset`` is a list of 0-based indices (defaults to all of them).
-    Rank-deficient submatrices are a normal outcome; inconsistency is
-    reported through an absent ``particular``.
+    ``subset`` is a list of 0-based indices (defaults to all of them); the
+    solution vectors follow their ascending order.  Rank-deficient
+    submatrices are a normal outcome; inconsistency is reported through an
+    absent ``particular``.
     """
     if subset is None:
         subset = range(z.n)
@@ -282,18 +280,19 @@ def find_nonnegative_weighting(ws: WeightingSolution) -> np.ndarray | None:
     return _phase1_nonneg(ws.particular, ws.nullspace)
 
 
-def _positive_weighting(ws: WeightingSolution, eps: float = POSITIVITY_EPS):
-    """A weighting in ``ws`` with every entry >= ``eps``, or ``None``: each
-    ``w - eps`` solves ``Z_B y = 1 - eps * Z_B 1``, so search from ``particular - eps``."""
+def _positive_weighting(ws: WeightingSolution):
+    """A weighting in ``ws`` with every entry >= ``eps = POSITIVITY_EPS``, or
+    ``None``: each ``w - eps`` solves ``Z_B y = 1 - eps * Z_B 1``, so search
+    from ``particular - eps``."""
     if ws.particular is None:
         return None
-    y = find_nonnegative_weighting(replace(ws, particular=ws.particular - eps))
-    return None if y is None else eps + np.maximum(y, 0.0)
+    y = find_nonnegative_weighting(replace(ws, particular=ws.particular - POSITIVITY_EPS))
+    return None if y is None else POSITIVITY_EPS + np.maximum(y, 0.0)
 
 
-def find_positive_weighting(z: SimilarityMatrix, subset=None, eps: float = POSITIVITY_EPS):
-    """A weighting with every entry >= ``eps`` on ``Z_B``, or ``None``."""
-    return _positive_weighting(solve_weighting_space(z, subset), eps)
+def find_positive_weighting(z: SimilarityMatrix, subset=None):
+    """A weighting with every entry >= POSITIVITY_EPS on ``Z_B``, or ``None``."""
+    return _positive_weighting(solve_weighting_space(z, subset))
 
 
 def magnitude(z: SimilarityMatrix, subset=None) -> float | None:

@@ -21,10 +21,10 @@ from .diversity import Distribution, ordinariness
 from .errors import InputError, PreconditionError
 from .kernels import UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, scan_subsets
 from .linalg import (
-    PIVOT_RTOL,
     SOLVE_TOL,
     SimilarityMatrix,
     WeightingSolution,
+    _check_subset,
     _positive_weighting,
     _spectrum,
     find_nonnegative_weighting,
@@ -33,7 +33,7 @@ from .linalg import (
     solve_weighting_space,
 )
 
-# Hard size cap: the exhaustive route enumerates 2^n - 1 subsets.
+# Largest n the exhaustive sweep accepts: it enumerates 2^n - 1 subsets.
 SUBSET_CAP = 30
 # Winning subsets are all those within this relative slack of the top magnitude.
 TIE_RTOL = 1e-9
@@ -46,6 +46,11 @@ _NONSYMMETRIC_MSG = (
     "matrices the supremum of diversity can vary with the order q and need "
     "not be attained by any distribution"
 )
+
+
+def _check_symmetric(z: SimilarityMatrix):
+    if not z.symmetric:
+        raise PreconditionError(_NONSYMMETRIC_MSG)
 
 
 @dataclass(frozen=True)
@@ -84,14 +89,13 @@ class MaximizationResult:
 
 
 def normalize_weighting(w, subset, n: int) -> Distribution:
-    """Distribution proportional to ``w`` on ``subset``, zero elsewhere."""
+    """Distribution proportional to ``w`` on ``subset``, zero elsewhere; the
+    entries of ``w`` follow the ascending order of the subset's indices."""
+    idx = list(_check_subset(n, subset))
     w = np.asarray(w, dtype=np.float64)
-    idx = np.asarray(sorted(int(i) for i in subset), dtype=np.intp)
-    if w.shape != (idx.size,):
-        raise InputError(f"weighting has {w.shape} entries for a subset of size {idx.size}")
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise PreconditionError(f"subset out of range for n={n}")
-    if w.size and w.min() < -100 * SOLVE_TOL:
+    if w.shape != (len(idx),):
+        raise InputError(f"weighting has {w.shape} entries for a subset of size {len(idx)}")
+    if w.min() < -100 * SOLVE_TOL:
         raise InputError(f"weighting entry {w.min()!r} is negative")
     w = np.maximum(w, 0.0)  # forgive solver-tolerance negatives
     total = w.sum()
@@ -102,11 +106,11 @@ def normalize_weighting(w, subset, n: int) -> Distribution:
     return Distribution(out)
 
 
-def is_invariant(z: SimilarityMatrix, p: Distribution, rtol: float = INVARIANT_RTOL) -> bool:
-    """True when (Zp)_i is constant over the support of p, equivalently when
-    the diversity profile of p is constant in q."""
+def is_invariant(z: SimilarityMatrix, p: Distribution) -> bool:
+    """True when (Zp)_i is constant over the support of p, within
+    ``INVARIANT_RTOL``; equivalently, the diversity profile of p is constant in q."""
     xp = ordinariness(z, p)[p.support]
-    return bool(xp.max() - xp.min() <= rtol * xp.max())
+    return bool(xp.max() - xp.min() <= INVARIANT_RTOL * xp.max())
 
 
 def full_support_diagnostics(z: SimilarityMatrix) -> FullSupportDiagnostics:
@@ -122,8 +126,7 @@ def full_support_diagnostics(z: SimilarityMatrix) -> FullSupportDiagnostics:
 def _full_support(z: SimilarityMatrix, ws: WeightingSolution | None = None, spectrum=None):
     """:func:`full_support_diagnostics`, reusing the full set's weighting space
     and ``_spectrum(z)`` when given; reduces the full set only if Z is PSD."""
-    if not z.symmetric:
-        raise PreconditionError(_NONSYMMETRIC_MSG)
+    _check_symmetric(z)
     eigs, floor = _spectrum(z) if spectrum is None else spectrum
     psd = bool(eigs.min() >= -floor)
     pd = bool(eigs.min() > floor)
@@ -171,12 +174,13 @@ def _tying(mags: np.ndarray) -> np.ndarray:
         return np.flatnonzero(mags >= thresh)
 
 
-def maximize_exhaustive(z: SimilarityMatrix, cap: int = SUBSET_CAP) -> MaximizationResult:
+def maximize_exhaustive(z: SimilarityMatrix) -> MaximizationResult:
     """Maximum diversity and all maximizing distributions by subset sweep.
 
     Enumerates every nonempty subset in increasing cardinality (lexicographic
     within), records magnitudes of those admitting a nonnegative weighting,
-    and reports every subset tying for the maximum.
+    and reports every subset tying for the maximum.  Matrices larger than
+    ``SUBSET_CAP`` are refused before the sweep starts.
 
     The batched scan settles most subsets.  The rest go to the row reduction
     and phase-1 LP (the slow path) as follows:
@@ -192,16 +196,15 @@ def maximize_exhaustive(z: SimilarityMatrix, cap: int = SUBSET_CAP) -> Maximizat
       singular subsets never raise the maximum, and a singular subset ties
       only if a tying nonsingular subset lies inside it.
     """
-    return _sweep(z, cap, None)
+    return _sweep(z, None)
 
 
-def _sweep(z: SimilarityMatrix, cap: int, full_support) -> MaximizationResult:
+def _sweep(z: SimilarityMatrix, full_support) -> MaximizationResult:
     """:func:`maximize_exhaustive`; ``full_support`` is the flag pair, or ``None`` to analyse Z."""
-    if not z.symmetric:
-        raise PreconditionError(_NONSYMMETRIC_MSG)
-    if z.n > cap:
-        raise PreconditionError(f"matrix size {z.n} exceeds the exhaustive cap {cap}")
-    status, mags = scan_subsets(z.values, SOLVE_TOL, PIVOT_RTOL)
+    _check_symmetric(z)
+    if z.n > SUBSET_CAP:
+        raise PreconditionError(f"matrix size {z.n} exceeds the exhaustive cap {SUBSET_CAP}")
+    status, mags = scan_subsets(z.values)
 
     # magnitudes of feasible subsets, indexed by mask - 1 (NaN elsewhere)
     mags = np.array(mags)
@@ -261,8 +264,7 @@ def maximize_fast_path(z: SimilarityMatrix) -> MaximizationResult | None:
     may tie, but their maximizing distributions are already generated by the
     full set's weighting space.
     """
-    if not z.symmetric:
-        raise PreconditionError(_NONSYMMETRIC_MSG)
+    _check_symmetric(z)
     eigs, floor = spectrum = _spectrum(z)
     unit_diag = bool(np.abs(z.values.diagonal() - 1.0).max() <= 1e-12)
     if is_ultrametric(z):
@@ -295,12 +297,13 @@ def maximize_fast_path(z: SimilarityMatrix) -> MaximizationResult | None:
     )
 
 
-def maximize(z: SimilarityMatrix, cap: int = SUBSET_CAP) -> MaximizationResult:
-    """Fast path when one applies, exhaustive sweep otherwise."""
+def maximize(z: SimilarityMatrix) -> MaximizationResult:
+    """Fast path when one applies, exhaustive sweep (up to ``SUBSET_CAP``)
+    otherwise."""
     result = maximize_fast_path(z)
     if result is not None:
         return result
     # the fast path declines only when Z is not positive semidefinite or the
     # full set has no nonnegative (so no positive) weighting: either way no
     # maximizer has full support
-    return _sweep(z, cap, (False, False))
+    return _sweep(z, (False, False))

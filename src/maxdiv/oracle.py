@@ -18,13 +18,19 @@ from .errors import InputError, PreconditionError
 from .kernels import grid_best
 from .linalg import SimilarityMatrix
 
+# Largest lattice the oracle sweeps: n species at resolution m.
 ORACLE_N_CAP = 6
 ORACLE_M_CAP = 60
+# Pairwise-transfer rounds per order in refine.
+REFINE_ROUNDS = 500
+# Finite-difference step of stationarity_gap.
+GAP_STEP = 1e-7
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Simplex lattice: all compositions of ``resolution`` into ``n`` parts."""
+    """Simplex lattice: all compositions of ``resolution`` into ``n`` parts,
+    with ``n <= ORACLE_N_CAP`` and ``resolution <= ORACLE_M_CAP``."""
 
     n: int
     resolution: int
@@ -32,6 +38,10 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 1 or self.resolution < 1:
             raise InputError("grid needs n >= 1 and resolution >= 1")
+        if self.n > ORACLE_N_CAP or self.resolution > ORACLE_M_CAP:
+            raise PreconditionError(
+                f"grid {self.n}/{self.resolution} exceeds caps n<={ORACLE_N_CAP}, m<={ORACLE_M_CAP}"
+            )
 
     def size(self) -> int:
         return math.comb(self.resolution + self.n - 1, self.n - 1)
@@ -43,28 +53,18 @@ class GridMax:
     point: Distribution
 
 
-def grid_max_multi(
-    z: SimilarityMatrix,
-    orders,
-    spec: GridSpec,
-    n_cap: int = ORACLE_N_CAP,
-    m_cap: int = ORACLE_M_CAP,
-) -> tuple[GridMax, ...]:
+def grid_max_multi(z: SimilarityMatrix, orders, spec: GridSpec) -> tuple[GridMax, ...]:
     """Exhaustive lattice maxima for several orders in a single sweep."""
     if z.n != spec.n:
         raise InputError(f"matrix is {z.n}x{z.n} but grid is over n={spec.n}")
-    if spec.n > n_cap or spec.resolution > m_cap:
-        raise PreconditionError(
-            f"grid {spec.n}/{spec.resolution} exceeds caps n<={n_cap}, m<={m_cap}"
-        )
     qs = np.array([check_order(q) for q in orders], dtype=np.float64)
     vals, pts = grid_best(z.values, qs, spec.resolution)
     return tuple(GridMax(float(v), Distribution(p)) for v, p in zip(vals, pts))
 
 
-def grid_max(z, q, spec: GridSpec, **caps) -> GridMax:
+def grid_max(z, q, spec: GridSpec) -> GridMax:
     """Lattice maximum of diversity of order ``q``: value and an argmax."""
-    return grid_max_multi(z, [q], spec, **caps)[0]
+    return grid_max_multi(z, [q], spec)[0]
 
 
 def _clean(p: np.ndarray) -> np.ndarray:
@@ -121,10 +121,10 @@ def _best_transfer(z, p, q, j, k):
     return best_t, best_v - base
 
 
-def _refine_single(z, q, probs, max_rounds):
+def _refine_single(z, q, probs):
     p = probs.copy()
     value = _eval(z, p, q)
-    for _ in range(max_rounds):
+    for _ in range(REFINE_ROUNDS):
         best = (None, 0.0)
         for k in np.flatnonzero(p > 0):
             for j in range(z.n):
@@ -150,14 +150,10 @@ def _refine_single(z, q, probs, max_rounds):
 _INF_CONTINUATION = (8.0, 32.0, 128.0, 512.0, 2048.0)
 
 
-def refine(
-    z: SimilarityMatrix,
-    q,
-    start: Distribution,
-    max_rounds: int = 500,
-) -> Distribution:
+def refine(z: SimilarityMatrix, q, start: Distribution) -> Distribution:
     """Polish a distribution by pairwise mass transfers until no transfer
-    between any pair of coordinates improves the diversity of order ``q``.
+    between any pair of coordinates improves the diversity of order ``q``,
+    for at most ``REFINE_ROUNDS`` transfers per order.
 
     Returns the start if nothing improves.  Used only for test-side ground
     truth, never by the maximizer.
@@ -168,19 +164,20 @@ def refine(
     p = start.probs
     if math.isinf(q):
         for qq in _INF_CONTINUATION:
-            p = _refine_single(z, qq, p, max_rounds)
-    p = _refine_single(z, q, p, max_rounds)
+            p = _refine_single(z, qq, p)
+    p = _refine_single(z, q, p)
     return Distribution(p)
 
 
-def stationarity_gap(z: SimilarityMatrix, p: Distribution, q, h: float = 1e-7) -> float:
-    """Largest one-sided finite-difference directional derivative of the
-    diversity over feasible pairwise transfer directions (0 at a local max)."""
+def stationarity_gap(z: SimilarityMatrix, p: Distribution, q) -> float:
+    """Largest one-sided finite-difference directional derivative (step
+    ``GAP_STEP``) of the diversity over feasible pairwise transfer directions
+    (0 at a local max)."""
     q = check_order(q)
     base = diversity(z, p, q)
     worst = 0.0
     for k in p.support:
-        step = min(h, p.probs[k] / 2.0)
+        step = min(GAP_STEP, p.probs[k] / 2.0)
         if step <= 0:
             continue
         for j in range(z.n):

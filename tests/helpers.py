@@ -62,23 +62,23 @@ def random_distribution(rng, n, zero_prob=0.3):
 
 
 def random_ultrametric(rng, n, min_gap=0.02):
-    """Random ultrametric similarity matrix via agglomerative merges with
-    strictly decreasing similarity levels."""
-    while True:
-        levels = np.sort(rng.uniform(0.05, 0.95, size=n - 1))[::-1]
-        if n == 1 or (levels.size < 2 or np.min(-np.diff(levels)) >= min_gap):
-            if levels.size == 0 or levels.max() <= 0.95:
-                break
+    """Random ultrametric similarity matrix via agglomerative merges at n - 1
+    decreasing similarity levels in (0.05, 0.95), adjacent levels at least
+    ``min_gap`` apart."""
+    slack = 0.9 - (n - 2) * min_gap
+    if slack <= 0:
+        raise ValueError(f"{n - 1} levels {min_gap} apart do not fit in (0.05, 0.95)")
+    # sorted uniform draws on (0, slack), the i-th shifted up by i gaps: the
+    # same law as rejection sampling on the gaps, in one draw
+    levels = 0.05 + np.sort(rng.uniform(0.0, slack, size=n - 1)) + min_gap * np.arange(n - 1)
     z = np.eye(n)
     clusters = [[i] for i in range(n)]
-    for level in levels:
-        a, b = rng.choice(len(clusters), size=2, replace=False)
-        a, b = min(a, b), max(a, b)
-        for i in clusters[a]:
-            for j in clusters[b]:
-                z[i, j] = z[j, i] = level
-        clusters[a] = clusters[a] + clusters[b]
-        del clusters[b]
+    for level in levels[::-1]:
+        a, b = sorted(rng.choice(len(clusters), size=2, replace=False))
+        ia, ib = np.array(clusters[a]), np.array(clusters[b])
+        z[np.ix_(ia, ib)] = level
+        z[np.ix_(ib, ia)] = level
+        clusters[a] += clusters.pop(b)
     return SimilarityMatrix(z)
 
 

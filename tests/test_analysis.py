@@ -94,6 +94,17 @@ def test_diagnose_reduces_the_full_matrix_once(calls, tmp_path):
     assert (calls["eigvalsh"], calls["_rref"]) == (1, 1)
 
 
+def test_diagnose_refuses_asymmetry_before_any_reduction(calls, tmp_path):
+    z = np.random.default_rng(227).uniform(0.0, 0.5, size=(200, 200))
+    np.fill_diagonal(z, 1.0)
+    m = tmp_path / "z.csv"
+    m.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in z) + "\n")
+    result = CliRunner().invoke(main, ["diagnose", "--matrix", str(m)])
+    assert result.exit_code == 3
+    assert "requires a symmetric similarity matrix" in result.output
+    assert (calls["eigvalsh"], calls["_rref"]) == (0, 0)
+
+
 def test_sweep_flags_match_a_fresh_analysis():
     # the sweep takes both flags as False from the declined fast path; a
     # separate analysis of the same matrix must agree

@@ -1,9 +1,11 @@
+import importlib
 import json
 
 import pytest
 from click.testing import CliRunner
 
 from maxdiv.cli import main
+from maxdiv.maximize import SUBSET_CAP
 
 from helpers import THREE_SPECIES
 
@@ -116,12 +118,16 @@ class TestMaximizeCommand:
         assert result.exit_code == 3
         assert "symmetric" in result.output
 
-    def test_cap_exit_3(self, runner, tmp_path):
-        m = _write(tmp_path, "z.csv", "\n".join(",".join("1" if i == j else "0" for j in range(8)) for i in range(8)))
-        result = runner.invoke(
-            main, ["maximize", "--matrix", m, "--method", "exhaustive", "--cap", "7"]
-        )
+    def test_cap_exit_3(self, runner, tmp_path, monkeypatch):
+        def scan(values):
+            raise AssertionError("scan_subsets called past the cap")
+
+        monkeypatch.setattr(importlib.import_module("maxdiv.maximize"), "scan_subsets", scan)
+        n = SUBSET_CAP + 1
+        m = _write(tmp_path, "z.csv", "\n".join(",".join("1" if i == j else "0" for j in range(n)) for i in range(n)))
+        result = runner.invoke(main, ["maximize", "--matrix", m, "--method", "exhaustive"])
         assert result.exit_code == 3
+        assert f"exceeds the exhaustive cap {SUBSET_CAP}" in result.output
 
     def test_method_fast_success(self, runner, tmp_path):
         m = _write(tmp_path, "z.csv", THREE_SPECIES_CSV)

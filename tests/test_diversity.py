@@ -12,6 +12,7 @@ from maxdiv import (
     diversity,
     diversity_profile,
     extend_by_zero,
+    normalize_weighting,
     power_mean,
     restrict,
     solve_weighting_space,
@@ -271,6 +272,25 @@ class TestRestriction:
             restrict(p, [0, 2, 2])
         with pytest.raises(PreconditionError):
             extend_by_zero(Distribution([0.5, 0.5]), [1, 1], 3)
+
+    @pytest.mark.parametrize(
+        "subset, message",
+        [([], "nonempty"), ([1, 1], "repeated"), ([0, 3], "out of range")],
+        ids=["empty", "repeated", "out-of-range"],
+    )
+    @pytest.mark.parametrize(
+        "caller", ["solve_weighting_space", "restrict", "extend_by_zero", "normalize_weighting"]
+    )
+    def test_one_subset_validator(self, caller, subset, message):
+        # every entry point taking a subset of range(3) applies the same rules
+        calls = {
+            "solve_weighting_space": lambda: solve_weighting_space(SimilarityMatrix(THREE_SPECIES), subset),
+            "restrict": lambda: restrict(uniform(3), subset),
+            "extend_by_zero": lambda: extend_by_zero(Distribution([0.5, 0.5]), subset, 3),
+            "normalize_weighting": lambda: normalize_weighting([0.5, 0.5], subset, 3),
+        }
+        with pytest.raises(PreconditionError, match=message):
+            calls[caller]()
 
     def test_round_trip(self):
         rng = np.random.default_rng(61)

@@ -24,7 +24,7 @@ from maxdiv import (
     maximum_independent_set,
     uniform,
 )
-from maxdiv.graphs import complete_graph, from_points, path_graph, threshold_graph
+from maxdiv.graphs import GRAPH_CAP, METRIC_CAP, complete_graph, from_points, path_graph, threshold_graph
 
 from helpers import random_graph, random_planar_metric
 
@@ -80,8 +80,9 @@ class TestIndependence:
         assert independence_number(ReflexiveGraph(6)) == 6
 
     def test_cap(self):
+        assert independence_number(ReflexiveGraph(GRAPH_CAP)) == GRAPH_CAP
         with pytest.raises(PreconditionError):
-            independence_number(ReflexiveGraph(9), cap=8)
+            independence_number(ReflexiveGraph(GRAPH_CAP + 1))
 
     def test_branch_and_bound_vs_subset_oracle(self):
         rng = np.random.default_rng(107)
@@ -218,5 +219,8 @@ class TestEpsilonEntropy:
         m = FiniteMetric([[0.0, 1.0], [1.0, 0.0]])
         assert covering_number(m, 2.0) == 1
         assert covering_number(m, 0.5) == 2
+        too_big = random_planar_metric(np.random.default_rng(0), METRIC_CAP + 1)
         with pytest.raises(PreconditionError):
-            covering_number(random_planar_metric(np.random.default_rng(0), 21), 1.0)
+            covering_number(too_big, 1.0)
+        with pytest.raises(PreconditionError):
+            epsilon_entropy_bounds(too_big, 1.0)

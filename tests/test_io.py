@@ -45,13 +45,12 @@ class TestParseMatrix:
             parse_matrix("1,0\n")
 
     def test_asymmetry_located_when_symmetry_required(self):
-        text = "1,0.5\n0.4,1\n"
-        z = parse_matrix(text)  # tolerated by default
+        # asymmetry is recorded on the matrix, entries kept as parsed; the
+        # routines that need symmetry refuse the matrix themselves
+        z = parse_matrix("1,0.5\n0.4,1\n")
         assert not z.symmetric
-        with pytest.raises(ParseError) as err:
-            parse_matrix(text, require_symmetric=True)
-        assert err.value.line in (1, 2)
-        assert "symmetric" in str(err.value)
+        assert z.values.tolist() == [[1.0, 0.5], [0.4, 1.0]]
+        assert parse_matrix("1,0.5\n0.5000000000000001,1\n").symmetric
 
     def test_negative_entry_rejected(self):
         with pytest.raises(ParseError):

@@ -16,6 +16,7 @@ from maxdiv.kernels import (
     compositions,
     scan_subsets,
 )
+from maxdiv.linalg import PIVOT_RTOL, SOLVE_TOL
 
 from helpers import path_adjacency, random_duplicated_psd, random_graph, random_symmetric
 
@@ -40,8 +41,8 @@ def test_numpy_scan_matches_scalar_loop():
     assert len(cases) >= 120
     seen = set()
     for z in cases:
-        status, mags = scan_subsets(z, 1e-9, 1e-10)
-        ref_status, ref_mags = _scan_subsets_loop(z, 1e-9, 1e-10)
+        status, mags = scan_subsets(z)
+        ref_status, ref_mags = _scan_subsets_loop(z, SOLVE_TOL, PIVOT_RTOL)
         assert np.array_equal(status, ref_status)
         assert np.array_equal(np.isnan(mags), np.isnan(ref_mags))
         both = ~np.isnan(mags)

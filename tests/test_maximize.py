@@ -23,8 +23,7 @@ from maxdiv import (
     uniform,
 )
 from maxdiv.kernels import UNIQUE_NEG, UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, scan_subsets
-from maxdiv.linalg import PIVOT_RTOL, SOLVE_TOL
-from maxdiv.maximize import TIE_RTOL, FeasibleSubset, _certify_uniqueness
+from maxdiv.maximize import SUBSET_CAP, TIE_RTOL, FeasibleSubset, _certify_uniqueness
 
 from helpers import (
     ALL_ONES_2,
@@ -118,10 +117,14 @@ class TestExhaustive:
         with pytest.raises(PreconditionError, match="symmetric"):
             maximize_exhaustive(SimilarityMatrix(NONSYM))
 
-    def test_cap_rejected(self):
-        z = SimilarityMatrix(np.eye(8))
+    def test_cap_rejected(self, monkeypatch):
+        # one past the cap is refused before the scan is asked for anything
+        def scan(values):
+            raise AssertionError("scan_subsets called past the cap")
+
+        monkeypatch.setattr(importlib.import_module("maxdiv.maximize"), "scan_subsets", scan)
         with pytest.raises(PreconditionError, match="cap"):
-            maximize_exhaustive(z, cap=7)
+            maximize_exhaustive(SimilarityMatrix(np.eye(SUBSET_CAP + 1)))
 
     def test_sample_maximizer_is_invariant_and_attains_dmax(self):
         rng = np.random.default_rng(71)
@@ -190,7 +193,7 @@ class TestScanBackends:
         for trial in range(12):
             n = int(rng.integers(2, 6))
             z = random_symmetric(rng, n) if trial % 2 else random_duplicated_psd(rng, n)
-            status, mags = scan_subsets(z.values, 1e-9, 1e-10)
+            status, mags = scan_subsets(z.values)
             assert status.shape == (2**n - 1,)
             for mask in range(1, 2**n):
                 idx = tuple(i for i in range(n) if (mask >> i) & 1)
@@ -210,7 +213,7 @@ class TestScanBackends:
         # the last pivot, 3e-9, clears the pivot threshold, but the weighting
         # has entries near 3e7 and its residual (2.5e-9) misses SOLVE_TOL
         z = np.array([[1.0, 0.9], [0.9, 0.81 + 3e-9]])
-        status, mags = scan_subsets(z, 1e-9, 1e-10)
+        status, mags = scan_subsets(z)
         assert status.tolist() == [UNIQUE_NONNEG, UNIQUE_NONNEG, UNRELIABLE]
         assert np.isnan(mags[2])
 
@@ -221,7 +224,7 @@ class TestScanBackends:
         graphs += [adjacency_matrix(random_graph(rng, int(rng.integers(3, 9)))) for _ in range(12)]
         for z in graphs:
             n = z.n
-            status, _ = scan_subsets(z.values, 1e-9, 1e-10)
+            status, _ = scan_subsets(z.values)
             singular = sum(
                 abs(np.linalg.det(z.sub(idx))) < 0.5
                 for idx in (_mask_indices(mask, n) for mask in range(1, 2**n))
@@ -240,7 +243,7 @@ def _cycle_adjacency(n):
 def _unpruned_reference(z):
     """The subset sweep with every mask the scan leaves unsettled
     (UNRESOLVED or UNRELIABLE) sent through the row reduction and the LP."""
-    status, mags = scan_subsets(z.values, SOLVE_TOL, PIVOT_RTOL)
+    status, mags = scan_subsets(z.values)
     mags = np.where(status == UNIQUE_NONNEG, mags, np.nan)
     for mask in np.flatnonzero((status == UNRESOLVED) | (status == UNRELIABLE)) + 1:
         ws = solve_weighting_space(z, _mask_indices(int(mask), z.n))
@@ -289,8 +292,8 @@ class TestPrunedSweep:
             winning = [sum(1 << i for i in fs.indices) for fs in expected.winners]
             relabelled = []
 
-            def scan(values, solve_tol, pivot_rtol, winning=winning, relabelled=relabelled):
-                status, mags = scan_subsets(values, solve_tol, pivot_rtol)
+            def scan(values, winning=winning, relabelled=relabelled):
+                status, mags = scan_subsets(values)
                 for mask in winning:
                     if status[mask - 1] == UNIQUE_NONNEG:
                         status[mask - 1] = UNRELIABLE

@@ -17,6 +17,7 @@ from maxdiv import (
     stationarity_gap,
     uniform,
 )
+from maxdiv.oracle import ORACLE_M_CAP, ORACLE_N_CAP
 
 from helpers import (
     NONSYM,
@@ -36,14 +37,17 @@ class TestGridSpec:
             GridSpec(0, 5)
 
     def test_caps(self):
-        z = SimilarityMatrix(np.eye(7))
+        # one past either cap is refused when the grid is declared
         with pytest.raises(PreconditionError):
-            grid_max(z, 1, GridSpec(7, 10))
+            GridSpec(ORACLE_N_CAP + 1, 10)
         with pytest.raises(PreconditionError):
-            grid_max(SimilarityMatrix(np.eye(2)), 1, GridSpec(2, 61))
-        # caps are adjustable; with resolution 7 the uniform point is on-grid
-        r = grid_max(z, 1, GridSpec(7, 7), n_cap=7)
-        assert r.value == pytest.approx(7.0, abs=1e-9)
+            GridSpec(2, ORACLE_M_CAP + 1)
+        # at the caps; with resolution n the uniform point is on-grid
+        n = ORACLE_N_CAP
+        r = grid_max(SimilarityMatrix(np.eye(n)), 1, GridSpec(n, n))
+        assert r.value == pytest.approx(n, abs=1e-9)
+        r = grid_max(SimilarityMatrix(np.eye(2)), 1, GridSpec(2, ORACLE_M_CAP))
+        assert r.value == pytest.approx(2.0, abs=1e-12)
 
 
 class TestGridMax:
