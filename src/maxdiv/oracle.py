@@ -76,10 +76,10 @@ def _eval(z: SimilarityMatrix, p: np.ndarray, q: float) -> float:
     return diversity(z, Distribution(p), q)
 
 
-def _best_transfer(z, p, q, j, k):
-    """Best improvement moving mass from coordinate k to coordinate j."""
+def _best_transfer(z, p, q, j, k, base):
+    """Best improvement over ``base``, the value at ``p``, moving mass from
+    coordinate k to coordinate j."""
     hi = p[k]
-    base = _eval(z, p, q)
 
     def at(t):
         cand = p.copy()
@@ -130,7 +130,7 @@ def _refine_single(z, q, probs):
             for j in range(z.n):
                 if j == int(k):
                     continue
-                t, gain = _best_transfer(z, p, q, j, int(k))
+                t, gain = _best_transfer(z, p, q, j, int(k), value)
                 if gain > best[1]:
                     best = ((j, int(k), t), gain)
         move, gain = best

@@ -7,6 +7,7 @@ from maxdiv import (
     InputError,
     PreconditionError,
     SimilarityMatrix,
+    adjacency_matrix,
     find_nonnegative_weighting,
     find_positive_weighting,
     is_positive_definite,
@@ -16,7 +17,14 @@ from maxdiv import (
     magnitude,
     solve_weighting_space,
 )
-from maxdiv.linalg import SOLVE_TOL, _phase1_nonneg
+from maxdiv.linalg import (
+    LP_ITERATION_CAP,
+    PIVOT_RTOL,
+    SOLVE_TOL,
+    _phase1_nonneg,
+    _rref,
+    _solve_affine,
+)
 
 from helpers import (
     ALL_ONES_2,
@@ -27,6 +35,7 @@ from helpers import (
     THREE_SPECIES_WEIGHTING,
     path_adjacency,
     random_duplicated_psd,
+    random_graph,
     random_psd,
     random_sdd,
     random_symmetric,
@@ -432,3 +441,165 @@ class TestPredicates:
                     checked += 1
                     assert m <= full + 1e-9
         assert checked >= 40
+
+
+def _rref_by_rows(aug, ncols, pivot_tol):
+    """Reference: the row-at-a-time reduction that ``_rref`` replaced."""
+    rows = aug.shape[0]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == rows:
+            break
+        piv = r + int(np.abs(aug[r:, c]).argmax())
+        if abs(aug[piv, c]) <= pivot_tol:
+            continue
+        if piv != r:
+            aug[[r, piv]] = aug[[piv, r]]
+        aug[r] = aug[r] / aug[r, c]
+        for rr in range(rows):
+            if rr != r and aug[rr, c] != 0.0:
+                aug[rr] = aug[rr] - aug[rr, c] * aug[r]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _phase1_by_rows(x0, basis):
+    """Reference: the phase-1 LP with its scalar entering loop and
+    row-at-a-time pivot, as ``_phase1_nonneg`` had them."""
+    kb = x0.shape[0]
+    kn = basis.shape[0]
+    nv = 2 * kn + kb
+    rows = np.zeros((kb, nv))
+    rows[:, :kn] = -basis.T
+    rows[:, kn : 2 * kn] = basis.T
+    rows[:, 2 * kn :] = np.eye(kb)
+    rhs = x0.astype(np.float64).copy()
+    neg = rhs < 0
+    rows[neg] *= -1.0
+    rhs[neg] *= -1.0
+    art = np.flatnonzero(neg)
+    tab = np.zeros((kb, nv + art.size + 1))
+    tab[:, :nv] = rows
+    tab[:, -1] = rhs
+    basis_idx = np.empty(kb, dtype=np.intp)
+    for j, r in enumerate(art):
+        tab[r, nv + j] = 1.0
+        basis_idx[r] = nv + j
+    for r in np.flatnonzero(~neg):
+        basis_idx[r] = 2 * kn + r
+    cost = np.zeros(nv + art.size + 1)
+    cost[nv:-1] = 1.0
+    obj = cost.copy()
+    for r in np.flatnonzero(neg):
+        obj -= tab[r]
+    for _ in range(LP_ITERATION_CAP):
+        entering = -1
+        for j in range(nv):
+            if obj[j] < -1e-12:
+                entering = j
+                break
+        if entering < 0:
+            break
+        col = tab[:, entering]
+        ratios = np.full(kb, np.inf)
+        pos = col > 1e-12
+        ratios[pos] = tab[pos, -1] / col[pos]
+        leave = -1
+        best = np.inf
+        for r in range(kb):
+            if ratios[r] < best - 1e-15 or (
+                ratios[r] < best + 1e-15 and (leave < 0 or basis_idx[r] < basis_idx[leave])
+            ):
+                best = ratios[r]
+                leave = r
+        if leave < 0 or not np.isfinite(best):
+            break
+        tab[leave] /= tab[leave, entering]
+        for r in range(kb):
+            if r != leave and tab[r, entering] != 0.0:
+                tab[r] -= tab[r, entering] * tab[leave]
+        obj -= obj[entering] * tab[leave]
+        basis_idx[leave] = entering
+    else:
+        raise AssertionError("reference LP hit the iteration cap")
+    if -obj[-1] > 1e-9:
+        return None
+    t = np.zeros(kn)
+    for r in range(kb):
+        j = basis_idx[r]
+        if j < kn:
+            t[j] += tab[r, -1]
+        elif j < 2 * kn:
+            t[j - kn] -= tab[r, -1]
+    return x0 + basis.T @ t
+
+
+def _parity_corpus():
+    """Matrices of every helper family at n=2-10, 0/1 graph matrices with
+    exact zeros and rank deficiency, and an n=128 ultrametric."""
+    rng = np.random.default_rng(307)
+    out = [TAXONOMIC, THREE_SPECIES, ALL_ONES_2, np.ones((6, 6))]
+    for n in range(2, 11):
+        out += [path_adjacency(n).values, np.kron(np.eye(2), np.ones((n, n))) + 0.0]
+        for _ in range(3):
+            out += [
+                random_symmetric(rng, n).values,
+                random_ultrametric(rng, n).values,
+                random_sdd(rng, n).values,
+                random_psd(rng, n).values,
+                random_duplicated_psd(rng, n).values,
+                adjacency_matrix(random_graph(rng, n, edge_prob=0.5)).values,
+            ]
+    out.append(random_ultrametric(rng, 128, min_gap=0.005).values)
+    return out
+
+
+class TestEliminationParity:
+    def test_rref_matches_row_at_a_time_reduction(self):
+        rng = np.random.default_rng(311)
+        deficient = 0
+        for a in _parity_corpus():
+            k = a.shape[0]
+            tol = PIVOT_RTOL * float(np.abs(a).max())
+            for b in (np.ones(k), rng.uniform(-1.0, 1.0, size=k)):
+                aug = np.concatenate([a, b[:, None]], axis=1)
+                ref = aug.copy()
+                pivots = _rref(aug, k, tol)
+                assert pivots == _rref_by_rows(ref, k, tol)
+                assert np.array_equal(aug, ref)
+            deficient += len(pivots) < k
+            # kernel basis, as the per-free-column loop built it
+            ref = np.concatenate([a, np.ones((k, 1))], axis=1)
+            pivots = _rref_by_rows(ref, k, tol)
+            free = [c for c in range(k) if c not in pivots]
+            kernel = np.zeros((len(free), k))
+            for row, f in enumerate(free):
+                kernel[row, f] = 1.0
+                kernel[row, pivots] = -ref[: len(pivots), f]
+            assert np.array_equal(_solve_affine(a, np.ones(k))[1], kernel)
+        assert deficient >= 40
+
+    def test_phase1_matches_row_at_a_time_pivots(self):
+        rng = np.random.default_rng(313)
+        cases = []
+        for a in _parity_corpus():
+            z = SimilarityMatrix(a)
+            for _ in range(3):
+                sub = np.flatnonzero(rng.uniform(size=z.n) < 0.7)
+                ws = solve_weighting_space(z, sub if sub.size else None)
+                if ws.particular is not None and ws.nullspace.shape[0] > 0:
+                    cases += [(ws.particular, ws.nullspace), (ws.particular - 0.05, ws.nullspace)]
+        for _ in range(200):
+            kb = int(rng.integers(2, 7))
+            kn = int(rng.integers(1, 4))
+            cases.append((rng.uniform(-1.0, 1.0, size=kb), rng.uniform(-1.0, 1.0, size=(kn, kb))))
+        found = 0
+        for x0, basis in cases:
+            w, ref = _phase1_nonneg(x0, basis), _phase1_by_rows(x0, basis)
+            assert (w is None) == (ref is None)
+            if w is not None:
+                found += 1
+                assert np.array_equal(w, ref)
+        assert found >= 100 and len(cases) - found >= 50

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from maxdiv import (
+    Distribution,
     GridSpec,
     InputError,
     PreconditionError,
@@ -17,6 +18,7 @@ from maxdiv import (
     stationarity_gap,
     uniform,
 )
+from maxdiv import oracle
 from maxdiv.oracle import ORACLE_M_CAP, ORACLE_N_CAP
 
 from helpers import (
@@ -115,7 +117,56 @@ class TestGridMax:
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
+def _refine_per_pair_base(z, q, probs):
+    """Reference: the refinement loop as it was, each pairwise line search
+    evaluating the round's base value itself."""
+    p = probs.copy()
+    for _ in range(oracle.REFINE_ROUNDS):
+        best = (None, 0.0)
+        for k in np.flatnonzero(p > 0):
+            for j in range(z.n):
+                if j == int(k):
+                    continue
+                t, gain = oracle._best_transfer(z, p, q, j, int(k), oracle._eval(z, p, q))
+                if gain > best[1]:
+                    best = ((j, int(k), t), gain)
+        move, gain = best
+        if move is None or gain <= 0.0:
+            break
+        j, k, t = move
+        p[j] += t
+        p[k] = 0.0 if t >= p[k] else p[k] - t
+        p = oracle._clean(p)
+    return p
+
+
 class TestRefine:
+    def test_one_evaluation_per_round_at_its_point(self, monkeypatch):
+        # the value at a round's point is computed once and handed to every
+        # pairwise line search of the round; points are told apart by
+        # identity, and holding them keeps their ids unique
+        z = random_symmetric(np.random.default_rng(167), 5)
+        evaluated, round_points, pairs = [], {}, []
+        real_eval, real_transfer = oracle._eval, oracle._best_transfer
+
+        def counting_eval(z_, p, q):
+            evaluated.append(p)
+            return real_eval(z_, p, q)
+
+        def counting_transfer(z_, p, *rest):
+            round_points[id(p)] = p
+            pairs.append(1)
+            return real_transfer(z_, p, *rest)
+
+        monkeypatch.setattr(oracle, "_eval", counting_eval)
+        monkeypatch.setattr(oracle, "_best_transfer", counting_transfer)
+        p = refine(z, 2, uniform(5))
+        monkeypatch.undo()
+        rounds = len(round_points)
+        assert rounds >= 2 and len(pairs) >= 10 * rounds
+        assert sum(round_points.get(id(e)) is e for e in evaluated) == rounds
+        assert np.array_equal(p.probs, Distribution(_refine_per_pair_base(z, 2.0, uniform(5).probs)).probs)
+
     def test_identity_refines_to_uniform(self):
         z = SimilarityMatrix(np.eye(3))
         start = grid_max(z, 2, GridSpec(3, 7)).point
