@@ -4,8 +4,8 @@ A community is a probability distribution p over n species together with a
 similarity matrix Z.  This package evaluates the diversity of order q for
 any q in [0, inf], computes diversity profiles, and finds the distributions
 that maximize diversity of all orders simultaneously, together with the
-maximum value, via a finite subset sweep plus polynomial-time fast paths for
-ultrametric, diagonally dominant and positive semidefinite matrices.
+maximum value, via a finite subset sweep plus a polynomial-time fast path
+for positive semidefinite matrices.
 """
 
 from .diversity import (

@@ -1,5 +1,9 @@
 """Command-line interface.
 
+``maximize`` has no route option: the maximizer takes the fast path for a
+positive semidefinite matrix whose full set has a nonnegative weighting and
+sweeps subsets otherwise, and the output names the route it took.
+
 Exit codes: 0 success, 2 input error, 3 precondition violation (asymmetry,
 size caps), 4 internal numerical failure.
 """
@@ -8,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from functools import wraps
 
@@ -25,7 +28,7 @@ from .graphs import (
 )
 from .io import parse_community, parse_graph, parse_matrix, parse_metric
 from .linalg import is_strictly_diagonally_dominant, is_ultrametric, solve_weighting_space
-from .maximize import _check_symmetric, _full_support, maximize, maximize_exhaustive, maximize_fast_path
+from .maximize import _full_support, maximize
 
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
@@ -33,19 +36,15 @@ EXIT_NUMERICAL = 4
 
 
 def _guarded(fn):
+    codes = {InputError: EXIT_INPUT, PreconditionError: EXIT_PRECONDITION, NumericalError: EXIT_NUMERICAL}
+
     @wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except InputError as exc:
+        except tuple(codes) as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INPUT)
-        except PreconditionError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_PRECONDITION)
-        except NumericalError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_NUMERICAL)
+            sys.exit(next(code for cls, code in codes.items() if isinstance(exc, cls)))
 
     return wrapper
 
@@ -82,12 +81,10 @@ def _support_str(indices) -> str:
 
 
 @click.group()
-@click.option("--precision", type=int, default=None, help="Significant digits for display (env MAXDIV_PRECISION, default 6).")
+@click.option("--precision", type=int, default=6, show_default=True, help="Significant digits for display.")
 @click.pass_context
 def main(ctx, precision):
     """Similarity-sensitive diversity: evaluate it, profile it, maximize it."""
-    if precision is None:
-        precision = int(os.environ.get("MAXDIV_PRECISION", "6"))
     ctx.obj = {"precision": max(1, precision)}
 
 
@@ -150,26 +147,13 @@ def _maximization_json(result):
 
 @main.command("maximize")
 @click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--method", type=click.Choice(["auto", "exhaustive", "fast"]), default="auto")
 @click.option("--families", is_flag=True, help="Describe the full weighting space of every winner.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output at full precision.")
 @click.pass_context
 @_guarded
-def maximize_cmd(ctx, matrix_path, method, families, as_json):
+def maximize_cmd(ctx, matrix_path, families, as_json):
     """Maximum diversity, winning subsets, and a maximizing distribution."""
-    z = parse_matrix(_read(matrix_path))
-    if method == "exhaustive":
-        result = maximize_exhaustive(z)
-    elif method == "fast":
-        result = maximize_fast_path(z)
-        if result is None:
-            raise PreconditionError(
-                "no fast path applies (matrix is not ultrametric, diagonally "
-                "dominant with unit diagonal, or positive semidefinite with a "
-                "nonnegative weighting)"
-            )
-    else:
-        result = maximize(z)
+    result = maximize(parse_matrix(_read(matrix_path)))
     if as_json:
         click.echo(json.dumps(_maximization_json(result), indent=2))
         return
@@ -200,9 +184,9 @@ def maximize_cmd(ctx, matrix_path, method, families, as_json):
 def diagnose_cmd(ctx, matrix_path, as_json):
     """Matrix-class predicates and species-preservation findings."""
     z = parse_matrix(_read(matrix_path))
-    _check_symmetric(z)  # before the full-set reduction
-    ws = solve_weighting_space(z)
-    diag = _full_support(z, ws)
+    diag, ws = _full_support(z)  # refuses asymmetry before any reduction
+    if ws is None:
+        ws = solve_weighting_space(z)
     info = {
         "symmetric": z.symmetric,
         "positive_semidefinite": diag.positive_semidefinite,

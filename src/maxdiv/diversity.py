@@ -107,14 +107,6 @@ def power_mean(p: Distribution, x, t: float) -> float:
     return _power_mean_core(ps, xs, t)
 
 
-def ordinariness(z: SimilarityMatrix, p: Distribution) -> np.ndarray:
-    """The vector Zp: expected similarity of each species to a random
-    individual."""
-    if z.n != p.n:
-        raise InputError(f"matrix is {z.n}x{z.n} but distribution has {p.n} entries")
-    return z.values @ p.probs
-
-
 def diversity(z: SimilarityMatrix, p: Distribution, q) -> float:
     """Diversity of order ``q`` of the community (p, Z).
 

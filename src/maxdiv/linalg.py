@@ -1,10 +1,10 @@
 """Dense linear algebra for small symmetric similarity matrices.
 
 Everything here works on dense matrices at desk scale: subsets of at most
-30 species in the sweep, full matrices in the low hundreds on the fast paths.
+30 species in the sweep, full matrices in the low hundreds on the fast path.
 It holds weighting-space solves via row reduction with a declared pivot
 threshold, phase-1 LP feasibility for nonnegative weightings, and the
-matrix-class predicates used by the maximizer's fast paths.  Both
+matrix-class predicates that gate and name the maximizer's fast path.  Both
 eliminations clear a pivot column with one rank-1 numpy update, so an n x n
 solve takes O(n) numpy calls: a few milliseconds at n=128.
 """
@@ -25,8 +25,10 @@ SOLVE_TOL = 1e-9
 PIVOT_RTOL = 1e-10
 # Eigenvalues above -PSD_FLOOR_RTOL * max|Z| count as nonnegative.
 PSD_FLOOR_RTOL = 1e-9
-# Minimum entry for a weighting to count as strictly positive.
-POSITIVITY_EPS = 1e-11
+# Minimum entry for a weighting to count as strictly positive.  It clears
+# the SOLVE_TOL slack that nonnegativity forgives, so an entry that is zero
+# up to solver error is never reported as positive.
+POSITIVITY_EPS = 1e-8
 # Simplex pivot cap for the feasibility LP.
 LP_ITERATION_CAP = 10_000
 
@@ -300,25 +302,29 @@ def magnitude(z: SimilarityMatrix, subset=None) -> float | None:
 
 
 def _require_symmetric(z: SimilarityMatrix, what: str):
+    """Refuse an asymmetric ``z`` before ``what`` (a noun phrase) runs."""
     if not z.symmetric:
-        raise PreconditionError(f"{what} requires a symmetric matrix")
+        raise PreconditionError(f"{what} requires a symmetric similarity matrix")
 
 
-def _spectrum(z: SimilarityMatrix) -> tuple[np.ndarray, float]:
-    """Eigenvalues of symmetric ``Z`` and the floor ``PSD_FLOOR_RTOL * max|Z|``."""
-    return np.linalg.eigvalsh(z.values), PSD_FLOOR_RTOL * float(np.abs(z.values).max())
+def _spectrum(z: SimilarityMatrix) -> tuple[bool, bool, float, float]:
+    """``(psd, pd, smallest eigenvalue, floor)`` of symmetric ``Z``, from one
+    ``eigvalsh``: Z is positive semidefinite when its smallest eigenvalue is
+    at least ``-floor`` and positive definite when it exceeds ``floor``, with
+    ``floor = PSD_FLOOR_RTOL * max|Z|``."""
+    low = float(np.linalg.eigvalsh(z.values).min())
+    floor = PSD_FLOOR_RTOL * float(np.abs(z.values).max())
+    return low >= -floor, low > floor, low, floor
 
 
 def is_positive_semidefinite(z: SimilarityMatrix) -> bool:
     _require_symmetric(z, "positive semidefiniteness test")
-    eigs, floor = _spectrum(z)
-    return bool(eigs.min() >= -floor)
+    return _spectrum(z)[0]
 
 
 def is_positive_definite(z: SimilarityMatrix) -> bool:
     _require_symmetric(z, "positive definiteness test")
-    eigs, floor = _spectrum(z)
-    return bool(eigs.min() > floor)
+    return _spectrum(z)[1]
 
 
 def is_ultrametric(z: SimilarityMatrix) -> bool:

@@ -6,9 +6,11 @@ magnitude; the normalized nonnegative weightings of the winning subsets are
 exactly the maximizing distributions.  For symmetric Z a singular Z_B never
 beats the nonsingular subsets inside it, so the nonsingular subsets fix the
 maximum and a singular subset is solved only when it contains a tying one
-(see :func:`maximize_exhaustive`).  Polynomial-time fast paths cover
-ultrametric, strictly diagonally dominant (unit diagonal) and positive
-semidefinite matrices.
+(see :func:`maximize_exhaustive`).  When Z is positive semidefinite and the
+full set has a nonnegative weighting, the full set's weighting space
+generates every maximizing distribution, so :func:`maximize_fast_path`
+answers from the spectrum and one solve of ``Z w = 1``.  :func:`maximize`
+takes that route when it applies and sweeps otherwise.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diversity import Distribution, ordinariness
+from .diversity import Distribution, _support_ordinariness
 from .errors import InputError, PreconditionError
 from .kernels import UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, scan_subsets
 from .linalg import (
@@ -26,6 +28,7 @@ from .linalg import (
     WeightingSolution,
     _check_subset,
     _positive_weighting,
+    _require_symmetric,
     _spectrum,
     find_nonnegative_weighting,
     is_strictly_diagonally_dominant,
@@ -40,18 +43,6 @@ TIE_RTOL = 1e-9
 # Relative spread of Zp over the support below which a distribution counts as
 # having a constant diversity profile.
 INVARIANT_RTOL = 1e-9
-
-_NONSYMMETRIC_MSG = (
-    "maximization requires a symmetric similarity matrix: for nonsymmetric "
-    "matrices the supremum of diversity can vary with the order q and need "
-    "not be attained by any distribution"
-)
-
-
-def _check_symmetric(z: SimilarityMatrix):
-    if not z.symmetric:
-        raise PreconditionError(_NONSYMMETRIC_MSG)
-
 
 @dataclass(frozen=True)
 class FeasibleSubset:
@@ -109,7 +100,7 @@ def normalize_weighting(w, subset, n: int) -> Distribution:
 def is_invariant(z: SimilarityMatrix, p: Distribution) -> bool:
     """True when (Zp)_i is constant over the support of p, within
     ``INVARIANT_RTOL``; equivalently, the diversity profile of p is constant in q."""
-    xp = ordinariness(z, p)[p.support]
+    xp = _support_ordinariness(z, p)[1]
     return bool(xp.max() - xp.min() <= INVARIANT_RTOL * xp.max())
 
 
@@ -120,28 +111,31 @@ def full_support_diagnostics(z: SimilarityMatrix) -> FullSupportDiagnostics:
     and admits a positive weighting; every maximizer has full support exactly
     when Z is positive definite with positive weighting.
     """
-    return _full_support(z)
+    return _full_support(z)[0]
 
 
-def _full_support(z: SimilarityMatrix, ws: WeightingSolution | None = None, spectrum=None):
-    """:func:`full_support_diagnostics`, reusing the full set's weighting space
-    and ``_spectrum(z)`` when given; reduces the full set only if Z is PSD."""
-    _check_symmetric(z)
-    eigs, floor = _spectrum(z) if spectrum is None else spectrum
-    psd = bool(eigs.min() >= -floor)
-    pd = bool(eigs.min() > floor)
-    pos = None
-    if psd:
-        pos = _positive_weighting(solve_weighting_space(z) if ws is None else ws)
-    return FullSupportDiagnostics(
+def _full_support(z: SimilarityMatrix):
+    """``(full_support_diagnostics(z), ws)``, where ``ws`` is the full set's
+    weighting space when Z is positive semidefinite and ``None`` otherwise:
+    one ``eigvalsh``, and one reduction of the full set only if Z is PSD."""
+    _require_symmetric(
+        z,
+        "maximization, whose supremum for a nonsymmetric matrix can vary with "
+        "the order q and need not be attained by any distribution,",
+    )
+    psd, pd, low, floor = _spectrum(z)
+    ws = solve_weighting_space(z) if psd else None
+    pos = None if ws is None else _positive_weighting(ws)
+    diag = FullSupportDiagnostics(
         exists_full_support_maximizer=psd and pos is not None,
         all_maximizers_full_support=pd and pos is not None,
         positive_semidefinite=psd,
         positive_definite=pd,
-        min_eigenvalue=float(eigs.min()),
+        min_eigenvalue=low,
         eigenvalue_floor=floor,
         positive_weighting=pos,
     )
+    return diag, ws
 
 
 def _mask_indices(mask: int, n: int) -> tuple[int, ...]:
@@ -180,7 +174,7 @@ def maximize_exhaustive(z: SimilarityMatrix) -> MaximizationResult:
     Enumerates every nonempty subset in increasing cardinality (lexicographic
     within), records magnitudes of those admitting a nonnegative weighting,
     and reports every subset tying for the maximum.  Matrices larger than
-    ``SUBSET_CAP`` are refused before the sweep starts.
+    ``SUBSET_CAP`` are refused before any work starts.
 
     The batched scan settles most subsets.  The rest go to the row reduction
     and phase-1 LP (the slow path) as follows:
@@ -200,10 +194,13 @@ def maximize_exhaustive(z: SimilarityMatrix) -> MaximizationResult:
 
 
 def _sweep(z: SimilarityMatrix, full_support) -> MaximizationResult:
-    """:func:`maximize_exhaustive`; ``full_support`` is the flag pair, or ``None`` to analyse Z."""
-    _check_symmetric(z)
+    """:func:`maximize_exhaustive`; ``full_support`` is the flag pair, or
+    ``None`` to analyse Z (which refuses an asymmetric Z)."""
     if z.n > SUBSET_CAP:
         raise PreconditionError(f"matrix size {z.n} exceeds the exhaustive cap {SUBSET_CAP}")
+    if full_support is None:
+        diag = _full_support(z)[0]
+        full_support = (diag.exists_full_support_maximizer, diag.all_maximizers_full_support)
     status, mags = scan_subsets(z.values)
 
     # magnitudes of feasible subsets, indexed by mask - 1 (NaN elsewhere)
@@ -234,67 +231,52 @@ def _sweep(z: SimilarityMatrix, full_support) -> MaximizationResult:
     for mask in masks:
         ws, w = solved[mask] if mask in solved else _slow_path(z, mask)
         winners.append(FeasibleSubset(ws.subset, float(ws.magnitude), ws.with_nonnegative(w)))
-    winners = tuple(winners)
+    return _result(z, tuple(winners), full_support, "exhaustive")
 
-    dmax = max(fs.magnitude for fs in winners)
+
+def _result(z: SimilarityMatrix, winners, full_support, method: str) -> MaximizationResult:
+    """The result of either route: ``dmax`` is the largest winner magnitude,
+    the sample maximizer comes from the winner with the smallest index tuple,
+    and ``unique`` from :func:`_certify_uniqueness`."""
     sample_from = min(winners, key=lambda fs: fs.indices)
-    sample = normalize_weighting(sample_from.weighting_space.nonnegative, sample_from.indices, z.n)
-    if full_support is None:
-        diag = full_support_diagnostics(z)
-        full_support = (diag.exists_full_support_maximizer, diag.all_maximizers_full_support)
     return MaximizationResult(
-        dmax=dmax,
+        dmax=max(fs.magnitude for fs in winners),
         winners=winners,
-        sample_maximizer=sample,
+        sample_maximizer=normalize_weighting(sample_from.weighting_space.nonnegative, sample_from.indices, z.n),
         full_support_exists=full_support[0],
         all_maximizers_full_support=full_support[1],
-        method="exhaustive",
+        method=method,
         unique=_certify_uniqueness(winners),
     )
 
 
 def maximize_fast_path(z: SimilarityMatrix) -> MaximizationResult | None:
-    """Polynomial-time route for matrix classes where the full set wins.
+    """Polynomial-time route for positive semidefinite matrices.
 
-    Fires for ultrametric matrices, strictly diagonally dominant matrices
-    with unit diagonal, and positive semidefinite matrices admitting a
-    nonnegative weighting; returns ``None`` otherwise (callers fall back to
-    the exhaustive sweep).  In the positive semidefinite case the reported
-    winner list contains only the certified full-set winner; proper subsets
-    may tie, but their maximizing distributions are already generated by the
-    full set's weighting space.
+    Returns ``None`` (callers fall back to the exhaustive sweep) when Z is
+    not positive semidefinite or the full set has no nonnegative weighting.
+    Otherwise the full set's weighting space generates every maximizing
+    distribution, and the reported winner list holds only the full set:
+    proper subsets may tie, but their maximizers already lie in that space.
+    Ultrametric and strictly diagonally dominant matrices are positive
+    definite, so their class tests only name the route in ``method``, and
+    run only once the route applies.
     """
-    _check_symmetric(z)
-    eigs, floor = spectrum = _spectrum(z)
-    unit_diag = bool(np.abs(z.values.diagonal() - 1.0).max() <= 1e-12)
-    if is_ultrametric(z):
-        method = "ultrametric"
-    elif unit_diag and is_strictly_diagonally_dominant(z):
-        method = "diagonal-dominance"
-    elif eigs.min() >= -floor:
-        method = "positive-semidefinite"
-    else:
+    diag, ws = _full_support(z)
+    if ws is None:
         return None
-
-    ws = solve_weighting_space(z)
     w = find_nonnegative_weighting(ws)
     if w is None:
-        # ultrametric / diagonally dominant matrices always pass here; a PSD
-        # matrix without a nonnegative weighting gets no fast answer
         return None
-    full = tuple(range(z.n))
-    winner = FeasibleSubset(full, float(ws.magnitude), ws.with_nonnegative(w))
-    diag = _full_support(z, ws, spectrum)
-    unique = True if diag.all_maximizers_full_support else None
-    return MaximizationResult(
-        dmax=float(ws.magnitude),
-        winners=(winner,),
-        sample_maximizer=normalize_weighting(w, full, z.n),
-        full_support_exists=diag.exists_full_support_maximizer,
-        all_maximizers_full_support=diag.all_maximizers_full_support,
-        method=method,
-        unique=unique,
-    )
+    if is_ultrametric(z):
+        method = "ultrametric"
+    elif np.abs(z.values.diagonal() - 1.0).max() <= 1e-12 and is_strictly_diagonally_dominant(z):
+        method = "diagonal-dominance"
+    else:
+        method = "positive-semidefinite"
+    winner = FeasibleSubset(tuple(range(z.n)), float(ws.magnitude), ws.with_nonnegative(w))
+    full_support = (diag.exists_full_support_maximizer, diag.all_maximizers_full_support)
+    return _result(z, (winner,), full_support, method)
 
 
 def maximize(z: SimilarityMatrix) -> MaximizationResult:
@@ -305,5 +287,5 @@ def maximize(z: SimilarityMatrix) -> MaximizationResult:
         return result
     # the fast path declines only when Z is not positive semidefinite or the
     # full set has no nonnegative (so no positive) weighting: either way no
-    # maximizer has full support
+    # maximizer has full support, and Z has already been checked for symmetry
     return _sweep(z, (False, False))

@@ -45,9 +45,10 @@ def _tree_ultrametric(n, base=0.85):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of ``np.linalg.eigvalsh`` and row-reduction calls."""
+    """Counts of ``np.linalg.eigvalsh``, row-reduction and ultrametric-test calls."""
     linalg = importlib.import_module("maxdiv.linalg")
-    counts = {"eigvalsh": 0, "_rref": 0}
+    maximize_module = importlib.import_module("maxdiv.maximize")
+    counts = {"eigvalsh": 0, "_rref": 0, "is_ultrametric": 0}
 
     def count(owner, name):
         fn = getattr(owner, name)
@@ -60,6 +61,7 @@ def calls(monkeypatch):
 
     count(np.linalg, "eigvalsh")
     count(linalg, "_rref")
+    count(maximize_module, "is_ultrametric")
     return counts
 
 
@@ -82,6 +84,9 @@ def test_maximize_analyses_the_full_matrix_once(calls, z, method, eigvalsh, rref
     assert calls["eigvalsh"] == eigvalsh
     if rref is not None:
         assert calls["_rref"] == rref
+    # the spectrum gates the fast path; the class tests only name its route,
+    # so a matrix that is swept never runs them
+    assert calls["is_ultrametric"] == (method != "exhaustive")
 
 
 def test_diagnose_reduces_the_full_matrix_once(calls, tmp_path):

@@ -107,8 +107,9 @@ class TestMaximizeCommand:
 
     def test_families_flag(self, runner, tmp_path):
         m = _write(tmp_path, "z.csv", "1,1,0,0\n1,1,1,0\n0,1,1,1\n0,0,1,1\n")
-        result = runner.invoke(main, ["maximize", "--matrix", m, "--method", "exhaustive", "--families"])
+        result = runner.invoke(main, ["maximize", "--matrix", m, "--families"])
         assert result.exit_code == 0
+        assert "method: exhaustive" in result.output  # the path is indefinite
         assert "kernel direction" in result.output
         assert "support {1,3}" in result.output
 
@@ -123,22 +124,19 @@ class TestMaximizeCommand:
             raise AssertionError("scan_subsets called past the cap")
 
         monkeypatch.setattr(importlib.import_module("maxdiv.maximize"), "scan_subsets", scan)
+        # the path adjacency is indefinite, so no fast path applies
         n = SUBSET_CAP + 1
-        m = _write(tmp_path, "z.csv", "\n".join(",".join("1" if i == j else "0" for j in range(n)) for i in range(n)))
-        result = runner.invoke(main, ["maximize", "--matrix", m, "--method", "exhaustive"])
+        m = _write(tmp_path, "z.csv", "\n".join(",".join("1" if abs(i - j) <= 1 else "0" for j in range(n)) for i in range(n)))
+        result = runner.invoke(main, ["maximize", "--matrix", m])
         assert result.exit_code == 3
         assert f"exceeds the exhaustive cap {SUBSET_CAP}" in result.output
 
-    def test_method_fast_success(self, runner, tmp_path):
+    def test_default_route_takes_the_fast_path(self, runner, tmp_path):
         m = _write(tmp_path, "z.csv", THREE_SPECIES_CSV)
-        result = runner.invoke(main, ["maximize", "--matrix", m, "--method", "fast"])
+        result = runner.invoke(main, ["maximize", "--matrix", m])
         assert result.exit_code == 0
         assert "method: ultrametric" in result.output
-
-    def test_method_fast_unavailable_exit_3(self, runner, tmp_path):
-        m = _write(tmp_path, "z.csv", "1,1,0\n1,1,1\n0,1,1\n")
-        result = runner.invoke(main, ["maximize", "--matrix", m, "--method", "fast"])
-        assert result.exit_code == 3
+        assert "winners: 1" in result.output
 
     def test_missing_file_exit_2(self, runner):
         result = runner.invoke(main, ["maximize", "--matrix", "/nonexistent.csv"])
@@ -201,8 +199,3 @@ class TestPrecision:
         m = _write(tmp_path, "z.csv", THREE_SPECIES_CSV)
         result = runner.invoke(main, ["--precision", "12", "maximize", "--matrix", m])
         assert "1.45569620253" in result.output
-
-    def test_precision_env(self, runner, tmp_path):
-        m = _write(tmp_path, "z.csv", THREE_SPECIES_CSV)
-        result = runner.invoke(main, ["maximize", "--matrix", m], env={"MAXDIV_PRECISION": "3"})
-        assert "dmax: 1.46" in result.output

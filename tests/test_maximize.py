@@ -417,6 +417,21 @@ class TestFullSupportDiagnostics:
         assert full_set_hits >= 30  # both outcomes must actually occur
         assert full_set_hits < 100
 
+    def test_zero_weight_entry_is_not_full_support(self):
+        # positive definite, unique weighting (5/6, 5/6, 0): the only
+        # maximizer is (1/2, 1/2, 0), so neither flag may be set, and a zero
+        # entry lifted to POSITIVITY_EPS must not pass for a positive weighting
+        z = SimilarityMatrix([[1.0, 0.2, 0.6], [0.2, 1.0, 0.6], [0.6, 0.6, 1.0]])
+        d = full_support_diagnostics(z)
+        assert d.positive_definite and d.positive_weighting is None
+        fast, swept = maximize(z), maximize_exhaustive(z)
+        assert fast.method == "positive-semidefinite"
+        for r in (fast, swept):
+            assert r.unique is True
+            assert (r.full_support_exists, r.all_maximizers_full_support) == (False, False)
+            assert r.sample_maximizer.support.tolist() == [0, 1]
+            assert r.dmax == pytest.approx(5 / 3, abs=1e-12)
+
 
 def _winner_scan_has_full_support(z, result):
     from maxdiv import find_positive_weighting

@@ -51,3 +51,30 @@ def test_maximize_command_has_no_cap_option():
     assert result.exit_code == 0
     assert "--matrix" in result.output
     assert "--cap" not in result.output
+    assert "--method" not in result.output
+
+
+# command path -> every option it takes (``--help`` aside); the maximizer
+# picks its own route, so ``maximize`` has no route or size option
+ALLOWED_OPTIONS = {
+    (): {"--precision"},
+    ("diversity",): {"--matrix", "--abundances", "-q", "--normalize"},
+    ("profile",): {"--matrix", "--abundances", "--orders", "-o", "--output", "--normalize"},
+    ("maximize",): {"--matrix", "--families", "--json"},
+    ("diagnose",): {"--matrix", "--json"},
+    ("graph",): set(),
+    ("graph", "alpha"): {"--graph"},
+    ("graph", "capacity"): {"--graph", "--json"},
+    ("graph", "entropy"): {"--metric", "--epsilon", "--json"},
+}
+
+
+def _command_options(cmd, path=()):
+    out = {path: {opt for param in cmd.params for opt in param.opts + param.secondary_opts}}
+    for name, sub in getattr(cmd, "commands", {}).items():
+        out.update(_command_options(sub, path + (name,)))
+    return out
+
+
+def test_every_command_option_is_allow_listed():
+    assert _command_options(main) == ALLOWED_OPTIONS
