@@ -120,8 +120,12 @@ def profile_cmd(matrix_path, abundance_path, orders_text, output, normalize):
     if output is None:
         click.echo(text, nl=False)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            click.echo(f"error: cannot write {output}: {exc}", err=True)
+            sys.exit(EXIT_INPUT)
 
 
 def _maximization_json(result):

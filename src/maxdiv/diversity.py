@@ -20,6 +20,8 @@ DEFAULT_ORDERS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, math.inf)
 
 _SUM_TOL = 1e-12
 _PROFILE_SLACK = 1e-9
+# Smallest normal double: a power sum below it has lost relative precision.
+_NORMAL_MIN = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -70,21 +72,27 @@ def check_order(q) -> float:
     return q
 
 
-def _power_mean_core(ps: np.ndarray, xs: np.ndarray, t: float) -> float:
-    """Power mean over support-restricted weights ps and values xs."""
+def _power_mean_core(ps: np.ndarray, xs: np.ndarray, t: float) -> np.ndarray:
+    """Power mean of order ``t`` of ``xs`` weighted by ``ps``, one per row of
+    the last axis (0-d for vectors).  A zero weight needs the neutral value
+    1 for finite ``t`` and 0 for ``t = inf``."""
     if t == 0.0:
-        return float(math.exp(np.dot(ps, np.log(xs))))
+        return np.exp(np.vecdot(ps, np.log(xs)))
     if math.isinf(t):
-        return float(xs.max() if t > 0 else xs.min())
+        return xs.max(axis=-1) if t > 0 else xs.min(axis=-1)
     with np.errstate(over="ignore", under="ignore"):
-        s = float(np.dot(ps, xs**t))
-    if math.isfinite(s) and s > 0.0:
-        return float(s ** (1.0 / t))
-    # overflow guard: recompute in log space
-    lt = np.log(ps) + t * np.log(xs)
-    mx = float(lt.max())
-    ls = mx + math.log(float(np.exp(lt - mx).sum()))
-    return float(math.exp(ls / t))
+        s = np.vecdot(ps, xs**t)
+    ok = (s >= _NORMAL_MIN) & (s < math.inf)
+    if ok.all():
+        return s ** (1.0 / t)
+    # the power sum overflowed or fell below the normal range: recompute
+    # those rows in log space, where a zero weight's log(0) = -inf drops out
+    with np.errstate(divide="ignore"):
+        lt = np.log(ps) + t * np.log(xs)
+        mean = s ** (1.0 / t)
+    mx = lt.max(axis=-1, keepdims=True)
+    ls = mx[..., 0] + np.log(np.exp(lt - mx).sum(axis=-1))
+    return np.where(ok, mean, np.exp(ls / t))
 
 
 def power_mean(p: Distribution, x, t: float) -> float:
@@ -104,7 +112,7 @@ def power_mean(p: Distribution, x, t: float) -> float:
     xs = x[p.support]
     if (xs <= 0).any() or not np.isfinite(xs).all():
         raise InputError("power mean requires positive finite values on the support")
-    return _power_mean_core(ps, xs, t)
+    return float(_power_mean_core(ps, xs, t))
 
 
 def diversity(z: SimilarityMatrix, p: Distribution, q) -> float:
@@ -116,7 +124,7 @@ def diversity(z: SimilarityMatrix, p: Distribution, q) -> float:
     leave the value bit-for-bit unchanged.
     """
     q = check_order(q)
-    return 1.0 / _power_mean_core(*_support_ordinariness(z, p), q - 1.0)
+    return float(1.0 / _power_mean_core(*_support_ordinariness(z, p), q - 1.0))
 
 
 def _support_ordinariness(z: SimilarityMatrix, p: Distribution):
@@ -125,7 +133,7 @@ def _support_ordinariness(z: SimilarityMatrix, p: Distribution):
         raise InputError(f"matrix is {z.n}x{z.n} but distribution has {p.n} entries")
     sup = p.support
     ps = p.probs[sup]
-    xs = z.values[np.ix_(sup, sup)] @ ps
+    xs = z.values.take(sup, axis=0).take(sup, axis=1) @ ps
     if (xs <= 0).any():
         raise InputError("ordinariness must be positive on the support")
     return ps, xs
@@ -163,7 +171,7 @@ def diversity_profile(z: SimilarityMatrix, p: Distribution, orders=DEFAULT_ORDER
     if any(b <= a for a, b in zip(qs, qs[1:])):
         raise InputError("order grid must be strictly ascending")
     ps, xs = _support_ordinariness(z, p)
-    return DiversityProfile(qs, tuple(1.0 / _power_mean_core(ps, xs, q - 1.0) for q in qs))
+    return DiversityProfile(qs, tuple(float(1.0 / _power_mean_core(ps, xs, q - 1.0)) for q in qs))
 
 
 def restrict(p: Distribution, subset) -> Distribution:

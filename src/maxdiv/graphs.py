@@ -216,7 +216,7 @@ def from_points(points) -> FiniteMetric:
 
 def threshold_graph(metric: FiniteMetric, eps: float) -> ReflexiveGraph:
     """Reflexive graph joining points at distance <= eps."""
-    if eps <= 0:
+    if not eps > 0:  # also refuses NaN
         raise InputError("eps must be positive")
     d = metric.dist
     edges = [(i, j) for i, j in combinations(range(metric.n), 2) if d[i, j] <= eps]
@@ -226,7 +226,7 @@ def threshold_graph(metric: FiniteMetric, eps: float) -> ReflexiveGraph:
 def covering_number(metric: FiniteMetric, eps: float) -> int:
     """Fewest closed eps-balls covering the space, by brute-force set cover
     over at most ``METRIC_CAP`` points."""
-    if eps <= 0:
+    if not eps > 0:  # also refuses NaN
         raise InputError("eps must be positive")
     n = metric.n
     if n > METRIC_CAP:

@@ -11,7 +11,8 @@ Two operations dominate runtime:
   tie a nonsingular one inside it, while an unreliable one may be a winner
   in its own right.
 * ``grid_best``: sweep a simplex lattice, evaluating the diversity of every
-  lattice distribution for several orders in one pass.
+  lattice distribution for several orders in one pass, with ``diversity``'s
+  own power mean and one masking of the zero weights per chunk.
 
 Both batch their arithmetic: the scan eliminates every subset of one size
 at once, and the lattice sweep evaluates the compositions of ``m`` in
@@ -25,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .diversity import _power_mean_core
 from .linalg import PIVOT_RTOL, SOLVE_TOL
 
 # Subset classification codes.
@@ -161,25 +163,6 @@ def compositions(n: int, m: int) -> np.ndarray:
 _GRID_CHUNK = 131072
 
 
-def _div_chunk(pc, xpc, mask, q):
-    xpm = np.where(mask, xpc, 1.0)
-    if math.isinf(q):
-        return 1.0 / np.where(mask, xpc, -np.inf).max(axis=1)
-    if q == 1.0:
-        return np.exp(-np.where(mask, pc * np.log(xpm), 0.0).sum(axis=1))
-    t = q - 1.0
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        s = np.where(mask, pc * xpm**t, 0.0).sum(axis=1)
-        vals = s ** (1.0 / (1.0 - q))
-    bad = ~np.isfinite(s) | (s <= 0.0)
-    if bad.any():
-        lp = np.where(mask[bad], np.log(np.where(mask[bad], pc[bad], 1.0)) + t * np.log(xpm[bad]), -np.inf)
-        mx = lp.max(axis=1)
-        ls = mx + np.log(np.exp(lp - mx[:, None]).sum(axis=1))
-        vals[bad] = np.exp(ls / (1.0 - q))
-    return vals
-
-
 def grid_best(z: np.ndarray, qs, m: int):
     """Best lattice distribution (step ``1/m``) for each order in ``qs``.
 
@@ -190,19 +173,21 @@ def grid_best(z: np.ndarray, qs, m: int):
     qs = np.asarray(qs, dtype=np.float64)
     m = int(m)
     n = z.shape[0]
-    nq = qs.shape[0]
-    best_vals = np.full(nq, -np.inf)
-    best_pts = np.zeros((nq, n))
+    best_vals = np.full(qs.shape[0], -np.inf)
+    best_pts = np.zeros((qs.shape[0], n))
     counts = compositions(n, m)
     for lo in range(0, counts.shape[0], _GRID_CHUNK):
         cc = counts[lo : lo + _GRID_CHUNK]
         pc = cc / m
         xpc = pc @ z.T
-        mask = cc > 0
-        for t in range(nq):
-            vals = _div_chunk(pc, xpc, mask, qs[t])
+        # neutral values for zero weights: 1 in the finite orders, 0 at q = inf
+        off = cc == 0
+        x_finite = np.where(off, 1.0, xpc)
+        x_max = np.where(off, 0.0, xpc)
+        for i, q in enumerate(qs):
+            vals = 1.0 / _power_mean_core(pc, x_max if math.isinf(q) else x_finite, q - 1.0)
             j = int(vals.argmax())
-            if vals[j] > best_vals[t]:
-                best_vals[t] = vals[j]
-                best_pts[t] = pc[j]
+            if vals[j] > best_vals[i]:
+                best_vals[i] = vals[j]
+                best_pts[i] = pc[j]
     return best_vals, best_pts

@@ -83,6 +83,15 @@ class TestProfileCommand:
         assert lines[-1].startswith("inf,")
         assert out.read_text().endswith("\n")
 
+    def test_unwritable_output_exit_2(self, runner, tmp_path):
+        m = _write(tmp_path, "z.csv", "1,0\n0,1\n")
+        a = _write(tmp_path, "p.csv", "0.5,0.5\n")
+        out = tmp_path / "missing" / "prof.csv"
+        result = runner.invoke(main, ["profile", "--matrix", m, "--abundances", a, "-o", str(out)])
+        assert result.exit_code == 2
+        assert f"error: cannot write {out}" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
 
 class TestMaximizeCommand:
     def test_three_species(self, runner, tmp_path):
@@ -192,6 +201,12 @@ class TestGraphCommands:
         f = _write(tmp_path, "d.csv", "0,1\n1,0\n")
         result = runner.invoke(main, ["graph", "entropy", "--metric", f, "--epsilon", "0"])
         assert result.exit_code == 2
+
+    def test_nan_epsilon_exit_2(self, runner, tmp_path):
+        f = _write(tmp_path, "d.csv", "0,1,2\n1,0,1\n2,1,0\n")
+        result = runner.invoke(main, ["graph", "entropy", "--metric", f, "--epsilon", "nan"])
+        assert result.exit_code == 2
+        assert "eps must be positive" in result.output
 
 
 class TestPrecision:

@@ -224,3 +224,13 @@ class TestEpsilonEntropy:
             covering_number(too_big, 1.0)
         with pytest.raises(PreconditionError):
             epsilon_entropy_bounds(too_big, 1.0)
+
+    def test_nan_epsilon_refused_and_infinite_epsilon_allowed(self):
+        # NaN fails every distance comparison, so without the check every
+        # ball would be empty and the count would fall through to n
+        m = FiniteMetric([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        for fn in (covering_number, threshold_graph, epsilon_entropy_bounds):
+            with pytest.raises(InputError):
+                fn(m, math.nan)
+        res = epsilon_entropy_bounds(m, math.inf)
+        assert (res.covering_number, res.dmax_of_threshold, res.covering_number_half) == (1, 1.0, 1)
