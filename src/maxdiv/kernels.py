@@ -83,7 +83,7 @@ def scan_subsets(z: np.ndarray):
     # again, and every value in the block goes through the same operations
     # as in a full-row elimination, so pivots, dead flags and w come out
     # unchanged.  Dead pivots give UNRESOLVED and bad residuals UNRELIABLE,
-    # for the caller's slow path.
+    # which the caller settles without a row reduction per subset.
     z = np.ascontiguousarray(z, dtype=np.float64)
     n = z.shape[0]
     total = (1 << n) - 1

@@ -1,16 +1,17 @@
 """Finding the distributions that maximize diversity of every order at once.
 
-The exhaustive route sweeps all nonempty subsets B, keeps those whose
-principal submatrix admits a nonnegative weighting, and takes the largest
-magnitude; the normalized nonnegative weightings of the winning subsets are
-exactly the maximizing distributions.  For symmetric Z a singular Z_B never
-beats the nonsingular subsets inside it, so the nonsingular subsets fix the
-maximum and a singular subset is solved only when it contains a tying one
-(see :func:`maximize_exhaustive`).  When Z is positive semidefinite and the
-full set has a nonnegative weighting, the full set's weighting space
-generates every maximizing distribution, so :func:`maximize_fast_path`
-answers from the spectrum and one solve of ``Z w = 1``.  :func:`maximize`
-takes that route when it applies and sweeps otherwise.
+Dmax is the same for every order q (the paper's main theorem), so the
+maximizers are the global minimizers of pᵀZp = 1/D_2(p) on the simplex
+(Bomze 1998): there (Zp)_j ≥ 1/Dmax for every j, with equality on the
+support, and Dmax is the largest magnitude of a subset whose submatrix has
+a nonnegative weighting.  The exhaustive route scans every subset in one
+batched elimination, which fixes the maximum over the nonsingular subsets,
+and settles every singular one by a tight-row closure of the tying ones
+(see :func:`maximize_exhaustive`), with no row reduction or LP per subset.
+When Z is positive semidefinite and the full set has a nonnegative
+weighting, its weighting space generates every maximizing distribution, so
+:func:`maximize_fast_path` answers from the spectrum and one solve of
+``Z w = 1``.  :func:`maximize` takes that route when it applies.
 """
 
 from __future__ import annotations
@@ -152,12 +153,8 @@ def _certify_uniqueness(winners) -> bool | None:
     return True if all(fs.weighting_space.unique for fs in winners) else None
 
 
-def _slow_path(z: SimilarityMatrix, mask: int):
-    """Row reduction plus phase-1 LP on one subset: ``(weighting space,
-    nonnegative weighting or None)``."""
-    ws = solve_weighting_space(z, _mask_indices(mask, z.n))
-    w = None if ws.particular is None else find_nonnegative_weighting(ws)
-    return ws, w
+def _solve(z: SimilarityMatrix, mask: int) -> WeightingSolution:
+    return solve_weighting_space(z, _mask_indices(mask, z.n))
 
 
 def _tying(mags: np.ndarray) -> np.ndarray:
@@ -171,24 +168,24 @@ def _tying(mags: np.ndarray) -> np.ndarray:
 def maximize_exhaustive(z: SimilarityMatrix) -> MaximizationResult:
     """Maximum diversity and all maximizing distributions by subset sweep.
 
-    Enumerates every nonempty subset in increasing cardinality (lexicographic
-    within), records magnitudes of those admitting a nonnegative weighting,
-    and reports every subset tying for the maximum.  Matrices larger than
-    ``SUBSET_CAP`` are refused before any work starts.
+    Reports, in increasing cardinality (lexicographic within), every subset
+    whose submatrix has a nonnegative weighting with magnitude tying for the
+    maximum.  Matrices larger than ``SUBSET_CAP`` are refused before any
+    work starts.  The batched scan settles the nonsingular subsets.  An
+    ``UNRELIABLE`` one (full rank, failed residual) is solved before
+    the maximum is taken; if it proves rank-deficient it joins the
+    ``UNRESOLVED`` (singular) subsets.  Each tying nonsingular T is solved
+    once and its tight rows marked: j ∉ T with |Z_{jT} w_T - 1| <=
+    ``SOLVE_TOL``.  Every singular B with T ⊆ B ⊆ T ∪ tight(T) wins, and w_T
+    extended by zero weights it.
 
-    The batched scan settles most subsets.  The rest go to the row reduction
-    and phase-1 LP (the slow path) as follows:
-
-    * ``UNRELIABLE`` subsets (full rank, failed residual) always do, before
-      the maximum is taken, since they may be winners in their own right.
-    * ``UNRESOLVED`` subsets (rank-deficient) do only when they contain a
-      subset already tying for the maximum.  For symmetric Z, a singular
-      Z_B with a nonnegative weighting w and kernel vector v has
-      1ᵀv = wᵀZ_B v = 0, so w + tv keeps the magnitude of w; moving t until
-      an entry of w + tv reaches zero and repeating ends at a nonsingular
-      subset of B with the same magnitude and a nonnegative weighting.  So
-      singular subsets never raise the maximum, and a singular subset ties
-      only if a tying nonsingular subset lies inside it.
+    No winner is missed.  Take a winner B; the maximizers p supported in B
+    with Z_B p = (1/Dmax)·1 form a polytope.  Let p* be a vertex, with
+    support T.  If Z_T u = 0 for some u ≠ 0, then 1ᵀu = Dmax·p*ᵀZu = 0, so
+    p* ± tu are maximizers for small t, and their KKT conditions force
+    Z_{BT} u = 0; then p* ± tu lie in the polytope and p* is no vertex.  So
+    Z_T is nonsingular, T ties with w_T = Dmax·p*_T ≥ 0, and every row of
+    B outside T is tight: no singular subset raises the maximum.
     """
     return _sweep(z, None)
 
@@ -203,35 +200,35 @@ def _sweep(z: SimilarityMatrix, full_support) -> MaximizationResult:
         full_support = (diag.exists_full_support_maximizer, diag.all_maximizers_full_support)
     status, mags = scan_subsets(z.values)
 
-    # magnitudes of feasible subsets, indexed by mask - 1 (NaN elsewhere)
-    mags = np.array(mags)
-    mags[status != UNIQUE_NONNEG] = np.nan
-    solved = {}  # mask -> slow-path result, reused by winner assembly
-
-    def settle(masks):
-        for mask in masks:
-            ws, w = solved[int(mask)] = _slow_path(z, int(mask))
-            if w is not None:
-                mags[mask - 1] = ws.magnitude
-
-    settle(np.flatnonzero(status == UNRELIABLE) + 1)
+    # magnitudes of feasible nonsingular subsets, indexed by mask - 1 (NaN elsewhere)
+    mags = np.where(status == UNIQUE_NONNEG, mags, np.nan)
+    for mask in np.flatnonzero(status == UNRELIABLE) + 1:
+        ws = _solve(z, int(mask))
+        if ws.unique and ws.particular.min() >= -SOLVE_TOL:
+            mags[mask - 1] = ws.magnitude
+        elif ws.nullspace.shape[0]:
+            status[mask - 1] = UNRESOLVED  # settled with the singular subsets
     singular = np.flatnonzero(status == UNRESOLVED) + 1
-    holds_tie = np.zeros(singular.shape, dtype=bool)
-    for t in _tying(mags) + 1:
-        holds_tie |= (singular & t) == t
-    settle(singular[holds_tie])
 
-    # ties are taken again: a singular subset's magnitude may round above
-    # the nonsingular maximum inside it
-    masks = sorted(
-        (int(m) + 1 for m in _tying(mags)),
-        key=lambda m: (bin(m).count("1"), _mask_indices(m, z.n)),
-    )
-    winners = []
-    for mask in masks:
-        ws, w = solved[mask] if mask in solved else _slow_path(z, mask)
-        winners.append(FeasibleSubset(ws.subset, float(ws.magnitude), ws.with_nonnegative(w)))
-    return _result(z, tuple(winners), full_support, "exhaustive")
+    winners = {}  # winning mask -> (weighting space or None, nonnegative weighting)
+    bits = 1 << np.arange(z.n, dtype=np.int64)
+    for t in (_tying(mags) + 1).tolist():
+        ws = _solve(z, t)
+        winners[t] = ws, ws.particular
+        tight = np.abs(z.values[:, ws.subset] @ ws.particular - 1.0) <= SOLVE_TOL
+        cover = t | int(bits[tight].sum())
+        for b in singular[((singular & t) == t) & ((singular & ~cover) == 0)].tolist():
+            rep = np.zeros(b.bit_count())
+            rep[np.searchsorted(_mask_indices(b, z.n), ws.subset)] = ws.particular
+            winners.setdefault(b, (None, rep))
+
+    found = []
+    for mask in sorted(winners, key=lambda m: (m.bit_count(), _mask_indices(m, z.n))):
+        ws, w = winners[mask]
+        ws = ws or _solve(z, mask)
+        if ws.particular is not None:  # None only at the edge of SOLVE_TOL
+            found.append(FeasibleSubset(ws.subset, float(ws.magnitude), ws.with_nonnegative(w)))
+    return _result(z, tuple(found), full_support, "exhaustive")
 
 
 def _result(z: SimilarityMatrix, winners, full_support, method: str) -> MaximizationResult:

@@ -2,7 +2,17 @@
 
 import numpy as np
 
-from maxdiv import Distribution, FiniteMetric, ReflexiveGraph, SimilarityMatrix
+from maxdiv import (
+    Distribution,
+    FiniteMetric,
+    ReflexiveGraph,
+    SimilarityMatrix,
+    find_nonnegative_weighting,
+    normalize_weighting,
+    solve_weighting_space,
+)
+from maxdiv.kernels import UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, scan_subsets
+from maxdiv.maximize import TIE_RTOL, FeasibleSubset, _certify_uniqueness
 
 # Three-species community (one newt, two similar frogs).  The unique
 # weighting is (55/79, 30/79, 30/79), giving magnitude 115/79 and the
@@ -126,3 +136,39 @@ def random_planar_metric(rng, n, box=3.0):
     pts = rng.uniform(0.0, box, size=(n, 2))
     diff = pts[:, None, :] - pts[None, :, :]
     return FiniteMetric(np.sqrt((diff**2).sum(axis=2)))
+
+
+def mask_indices(mask, n):
+    return tuple(i for i in range(n) if (mask >> i) & 1)
+
+
+def unpruned_reference(z):
+    """The subset sweep with every mask the scan leaves unsettled
+    (UNRESOLVED or UNRELIABLE) sent through the row reduction and the
+    phase-1 LP: ``(dmax, winners, unique, sample maximizer)``."""
+    status, mags = scan_subsets(z.values)
+    mags = np.where(status == UNIQUE_NONNEG, mags, np.nan)
+    for mask in np.flatnonzero((status == UNRESOLVED) | (status == UNRELIABLE)) + 1:
+        ws = solve_weighting_space(z, mask_indices(int(mask), z.n))
+        if find_nonnegative_weighting(ws) is not None:
+            mags[mask - 1] = ws.magnitude
+    dmax0 = float(np.nanmax(mags))
+    with np.errstate(invalid="ignore"):
+        tying = np.flatnonzero(mags >= dmax0 - TIE_RTOL * max(1.0, abs(dmax0))) + 1
+    winners = []
+    for mask in sorted(tying, key=lambda m: (bin(m).count("1"), mask_indices(int(m), z.n))):
+        ws = solve_weighting_space(z, mask_indices(int(mask), z.n))
+        w = find_nonnegative_weighting(ws)
+        winners.append(FeasibleSubset(ws.subset, float(ws.magnitude), ws.with_nonnegative(w)))
+    first = min(winners, key=lambda fs: fs.indices)
+    sample = normalize_weighting(first.weighting_space.nonnegative, first.indices, z.n)
+    dmax = max(fs.magnitude for fs in winners)
+    return dmax, winners, _certify_uniqueness(winners), sample
+
+
+def assert_same_result(r, dmax, winners, unique, sample):
+    """``r`` matches :func:`unpruned_reference`'s answer exactly."""
+    assert r.dmax == dmax
+    assert [fs.indices for fs in r.winners] == [fs.indices for fs in winners]
+    assert r.unique == unique
+    assert np.array_equal(r.sample_maximizer.probs, sample.probs)

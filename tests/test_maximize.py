@@ -15,6 +15,7 @@ from maxdiv import (
     find_nonnegative_weighting,
     full_support_diagnostics,
     is_invariant,
+    is_positive_semidefinite,
     maximize,
     maximize_exhaustive,
     maximize_fast_path,
@@ -23,7 +24,7 @@ from maxdiv import (
     uniform,
 )
 from maxdiv.kernels import UNIQUE_NEG, UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, scan_subsets
-from maxdiv.maximize import SUBSET_CAP, TIE_RTOL, FeasibleSubset, _certify_uniqueness
+from maxdiv.maximize import SUBSET_CAP
 
 from helpers import (
     ALL_ONES_2,
@@ -31,12 +32,15 @@ from helpers import (
     THREE_SPECIES,
     THREE_SPECIES_MAGNITUDE,
     THREE_SPECIES_MAXIMIZER,
+    assert_same_result,
+    mask_indices,
     path_adjacency,
     random_duplicated_psd,
     random_graph,
     random_sdd,
     random_symmetric,
     random_ultrametric,
+    unpruned_reference,
 )
 
 QGRID = (0.0, 0.5, 1.0, 2.0, 8.0, math.inf)
@@ -227,47 +231,18 @@ class TestScanBackends:
             status, _ = scan_subsets(z.values)
             singular = sum(
                 abs(np.linalg.det(z.sub(idx))) < 0.5
-                for idx in (_mask_indices(mask, n) for mask in range(1, 2**n))
+                for idx in (mask_indices(mask, n) for mask in range(1, 2**n))
             )
             assert int((status == UNRESOLVED).sum()) == singular
-
-
-def _mask_indices(mask, n):
-    return tuple(i for i in range(n) if (mask >> i) & 1)
 
 
 def _cycle_adjacency(n):
     return adjacency_matrix(ReflexiveGraph(n, [(i, (i + 1) % n) for i in range(n)]))
 
 
-def _unpruned_reference(z):
-    """The subset sweep with every mask the scan leaves unsettled
-    (UNRESOLVED or UNRELIABLE) sent through the row reduction and the LP."""
-    status, mags = scan_subsets(z.values)
-    mags = np.where(status == UNIQUE_NONNEG, mags, np.nan)
-    for mask in np.flatnonzero((status == UNRESOLVED) | (status == UNRELIABLE)) + 1:
-        ws = solve_weighting_space(z, _mask_indices(int(mask), z.n))
-        if find_nonnegative_weighting(ws) is not None:
-            mags[mask - 1] = ws.magnitude
-    dmax0 = float(np.nanmax(mags))
-    with np.errstate(invalid="ignore"):
-        tying = np.flatnonzero(mags >= dmax0 - TIE_RTOL * max(1.0, abs(dmax0))) + 1
-    winners = []
-    for mask in sorted(tying, key=lambda m: (bin(m).count("1"), _mask_indices(int(m), z.n))):
-        ws = solve_weighting_space(z, _mask_indices(int(mask), z.n))
-        w = find_nonnegative_weighting(ws)
-        winners.append(FeasibleSubset(ws.subset, float(ws.magnitude), ws.with_nonnegative(w)))
-    first = min(winners, key=lambda fs: fs.indices)
-    sample = normalize_weighting(first.weighting_space.nonnegative, first.indices, z.n)
-    dmax = max(fs.magnitude for fs in winners)
-    return dmax, winners, _certify_uniqueness(winners), sample
-
-
-def _assert_same_result(r, dmax, winners, unique, sample):
-    assert r.dmax == dmax
-    assert [fs.indices for fs in r.winners] == [fs.indices for fs in winners]
-    assert r.unique == unique
-    assert np.array_equal(r.sample_maximizer.probs, sample.probs)
+def _duplicated(values, assignment):
+    """The matrix with species ``assignment[i]`` of ``values`` as species i."""
+    return SimilarityMatrix(np.asarray(values)[np.ix_(assignment, assignment)])
 
 
 class TestPrunedSweep:
@@ -280,7 +255,7 @@ class TestPrunedSweep:
             cases.append(random_symmetric(rng, int(rng.integers(2, 9))))
         assert len(cases) >= 200
         for z in cases:
-            _assert_same_result(maximize_exhaustive(z), *_unpruned_reference(z))
+            assert_same_result(maximize_exhaustive(z), *unpruned_reference(z))
 
     def test_unreliable_winner_reaches_slow_path(self, monkeypatch):
         # relabel the scan's winning UNIQUE_NONNEG masks as UNRELIABLE: only
@@ -305,18 +280,46 @@ class TestPrunedSweep:
             got = maximize_exhaustive(z)
             monkeypatch.undo()
             assert relabelled
-            _assert_same_result(
+            assert_same_result(
+                got, expected.dmax, expected.winners, expected.unique, expected.sample_maximizer
+            )
+
+    def test_rank_deficient_unreliable_joins_the_closure(self, monkeypatch):
+        # relabel every UNRESOLVED mask as UNRELIABLE: each is solved once,
+        # found rank-deficient, and settled by the tight-row closure
+        module = importlib.import_module("maxdiv.maximize")
+        for z in (path_adjacency(4), path_adjacency(6), _cycle_adjacency(5)):
+            expected = maximize_exhaustive(z)
+
+            def scan(values):
+                status, mags = scan_subsets(values)
+                status[status == UNRESOLVED] = UNRELIABLE
+                return status, mags
+
+            monkeypatch.setattr(module, "scan_subsets", scan)
+            got = maximize_exhaustive(z)
+            monkeypatch.undo()
+            assert any(not fs.weighting_space.unique for fs in got.winners)
+            assert_same_result(
                 got, expected.dmax, expected.winners, expected.unique, expected.sample_maximizer
             )
 
     @pytest.mark.parametrize(
         "z, solves",
-        [(path_adjacency(3), 1), (path_adjacency(4), 6), (_cycle_adjacency(4), 2)],
-        ids=["path-3", "path-4", "cycle-4"],
+        [
+            (path_adjacency(3), 1),
+            (path_adjacency(4), 6),
+            (_cycle_adjacency(4), 2),
+            (path_adjacency(6), 9),
+            (_cycle_adjacency(6), 2),
+        ],
+        ids=["path-3", "path-4", "cycle-4", "path-6", "cycle-6"],
     )
     def test_slow_path_solve_counts(self, monkeypatch, z, solves):
-        # without pruning these take 3, 11 and 6 solves: one per UNRESOLVED
-        # mask plus one per winner
+        # one solve per tying mask plus one per singular winner: path-6 has
+        # 6 and 3, cycle-6 2 and 0.  Solving every singular superset of a
+        # tying mask instead took 13 and 9 solves there; solving every
+        # UNRESOLVED mask, 3, 11 and 6 on the first three.
         module = importlib.import_module("maxdiv.maximize")
         calls = []
 
@@ -327,6 +330,71 @@ class TestPrunedSweep:
         monkeypatch.setattr(module, "solve_weighting_space", counted)
         maximize_exhaustive(z)
         assert len(calls) == solves
+
+
+    def test_sweep_makes_no_lp_call(self, monkeypatch):
+        # singular subsets are settled by the tight-row closure, so the
+        # phase-1 LP never runs on the way to the winners
+        def refuse(*args):
+            raise AssertionError("phase-1 LP called")
+
+        monkeypatch.setattr(importlib.import_module("maxdiv.linalg"), "_phase1_nonneg", refuse)
+        rng = np.random.default_rng(109)
+        cases = [path_adjacency(n) for n in (3, 4, 6, 8)]
+        cases += [_cycle_adjacency(n) for n in (4, 5, 6, 7)]
+        cases += [adjacency_matrix(random_graph(rng, int(rng.integers(4, 10)), 0.5)) for _ in range(20)]
+        cases += [
+            _duplicated(path_adjacency(4).values, [0, 1, 1, 2, 3, 3]),
+            _duplicated(_cycle_adjacency(5).values, [0, 0, 1, 2, 3, 4, 4]),
+        ]
+        cases += [_duplicated(random_symmetric(rng, 5).values, rng.integers(0, 5, size=8)) for _ in range(10)]
+        swept = singular_winners = 0
+        for z in cases:
+            # a positive semidefinite Z sends its full set to the LP in the
+            # positive-weighting search of the diagnostics, not in the sweep
+            if is_positive_semidefinite(z):
+                continue
+            r = maximize_exhaustive(z)
+            swept += 1
+            singular_winners += sum(not fs.weighting_space.unique for fs in r.winners)
+        assert swept >= 30 and singular_winners >= 20
+
+    def test_tight_row_within_solve_tol(self):
+        # species 1 and 2 copy species 0, scaled by 1 + 3e-10 and 1 + 2e-9:
+        # against T = {0, 3}, with w_T = (1, 1), row 1 lands within SOLVE_TOL
+        # of 1 and row 2 outside it, so the singular {0, 1, 3} wins and
+        # {0, 2, 3} does not
+        v = np.array([1.0, 1.0 + 3e-10, 1.0 + 2e-9])
+        values = np.zeros((4, 4))
+        values[:3, :3] = np.outer(v, v)
+        values[3, 3] = 1.0
+        z = SimilarityMatrix(values)
+        r = maximize_exhaustive(z)
+        indices = [fs.indices for fs in r.winners]
+        assert indices == [(0, 3), (1, 3), (0, 1, 3)]
+        assert not r.winners[2].weighting_space.unique
+        assert r.winners[2].weighting_space.nonnegative.tolist() == [1.0, 0.0, 1.0]
+        # the reference weights {0, 1, 3} by its own particular solution,
+        # which differs from w_T by the 3e-10 slack of row 1; {0, 1, 3} is
+        # the smallest-index winner, so the sample maximizers differ by as much
+        dmax, winners, unique, sample = unpruned_reference(z)
+        assert (r.dmax, indices, r.unique) == (dmax, [fs.indices for fs in winners], unique)
+        assert r.sample_maximizer.probs.tolist() == [0.5, 0.0, 0.0, 0.5]
+        assert np.abs(r.sample_maximizer.probs - sample.probs).max() <= 1e-9
+
+    def test_singular_smallest_winner_takes_the_zero_extended_weighting(self):
+        # species 0 and 1 are identical, so the singular {0, 1, 2} sorts
+        # before the tying {0, 2} and {1, 2}; its weighting is w_{0,2}
+        # extended by zero
+        z = SimilarityMatrix([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
+        r = maximize_exhaustive(z)
+        assert [fs.indices for fs in r.winners] == [(0, 2), (1, 2), (0, 1, 2)]
+        first = min(r.winners, key=lambda fs: fs.indices)
+        assert first.indices == (0, 1, 2) and not first.weighting_space.unique
+        assert first.weighting_space.nonnegative == pytest.approx([2 / 3, 0.0, 2 / 3], abs=1e-15)
+        assert r.sample_maximizer.probs == pytest.approx([0.5, 0.0, 0.5], abs=1e-15)
+        assert r.unique is False
+        assert_same_result(r, *unpruned_reference(z))
 
 
 class TestFastPath:

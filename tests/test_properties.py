@@ -1,5 +1,7 @@
 """Property tests: the lattice sweep and the library evaluate diversity with
-one power mean, so every lattice value is the diversity at its point."""
+one power mean, so every lattice value is the diversity at its point; and
+the subset sweep, which settles singular subsets by the tight-row closure,
+answers exactly as the sweep that solves every one of them."""
 
 import math
 import warnings
@@ -15,10 +17,18 @@ from maxdiv import (
     diversity,
     diversity_profile,
     grid_max_multi,
+    maximize_exhaustive,
     power_mean,
 )
 
-from helpers import random_distribution, random_graph, random_symmetric
+from helpers import (
+    assert_same_result,
+    random_distribution,
+    random_duplicated_psd,
+    random_graph,
+    random_symmetric,
+    unpruned_reference,
+)
 
 SPECIAL_ORDERS = (0.0, 1.0, 2.0, math.inf)
 
@@ -90,3 +100,24 @@ def test_diversity_scales_inversely_with_the_matrix(base, scale, q, seed):
         warnings.simplefilter("error")
         scaled = diversity(SimilarityMatrix(scale * base), p, q) * scale
         assert math.isclose(scaled, diversity(SimilarityMatrix(base), p, q), rel_tol=rel_tol, abs_tol=0.0)
+
+
+@st.composite
+def sweep_matrices(draw):
+    """A symmetric matrix with n <= 8 from one of three families: 0/1 graph
+    matrices and duplicated-species PSD matrices have many singular
+    subsets, dense symmetric ones few."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("graph", "symmetric", "duplicated")))
+    if kind == "graph":
+        return adjacency_matrix(random_graph(rng, n, rng.uniform(0.2, 0.8)))
+    if kind == "symmetric":
+        return random_symmetric(rng, n)
+    return random_duplicated_psd(rng, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=sweep_matrices())
+def test_pruned_and_unpruned_winners_are_identical(z):
+    assert_same_result(maximize_exhaustive(z), *unpruned_reference(z))
