@@ -26,13 +26,14 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+RUNNER = "perfbench/run.py"  # relative to each checkout
 
 
 def run_once(checkout: Path, record: Path, args) -> str:
-    """One run of the runner in ``checkout``; returns its result line."""
+    """One run of ``perfbench/run.py`` in ``checkout``; returns its result line."""
     record.unlink(missing_ok=True)  # a stale record must not pass for this run's
     cmd = [
-        sys.executable, args.runner, "--workload", args.workload, "--seed", str(args.seed),
+        sys.executable, RUNNER, "--workload", args.workload, "--seed", str(args.seed),
         "--seconds", str(args.seconds), "--trace", str(args.trace),
     ]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -51,7 +52,6 @@ def main(argv=None):
     ap.add_argument("--out", type=Path, required=True, help="records go to OUT/{parent,change}/NN/")
     ap.add_argument("--seconds", type=float, default=28.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--runner", default="perfbench/run.py", help="runner script, relative to each checkout")
     args = ap.parse_args(argv)
 
     name = f"{args.workload}-seed{args.seed}-trace{args.trace}.json"

@@ -202,8 +202,9 @@ def _sweep(z: SimilarityMatrix, full_support) -> MaximizationResult:
 
     # magnitudes of feasible nonsingular subsets, indexed by mask - 1 (NaN elsewhere)
     mags = np.where(status == UNIQUE_NONNEG, mags, np.nan)
-    for mask in np.flatnonzero(status == UNRELIABLE) + 1:
-        ws = _solve(z, int(mask))
+    solved = {}  # UNRELIABLE mask -> its weighting space, reused if it wins
+    for mask in (np.flatnonzero(status == UNRELIABLE) + 1).tolist():
+        ws = solved[mask] = _solve(z, mask)
         if ws.unique and ws.particular.min() >= -SOLVE_TOL:
             mags[mask - 1] = ws.magnitude
         elif ws.nullspace.shape[0]:
@@ -213,14 +214,14 @@ def _sweep(z: SimilarityMatrix, full_support) -> MaximizationResult:
     winners = {}  # winning mask -> (weighting space or None, nonnegative weighting)
     bits = 1 << np.arange(z.n, dtype=np.int64)
     for t in (_tying(mags) + 1).tolist():
-        ws = _solve(z, t)
+        ws = solved.get(t) or _solve(z, t)
         winners[t] = ws, ws.particular
         tight = np.abs(z.values[:, ws.subset] @ ws.particular - 1.0) <= SOLVE_TOL
         cover = t | int(bits[tight].sum())
         for b in singular[((singular & t) == t) & ((singular & ~cover) == 0)].tolist():
             rep = np.zeros(b.bit_count())
             rep[np.searchsorted(_mask_indices(b, z.n), ws.subset)] = ws.particular
-            winners.setdefault(b, (None, rep))
+            winners.setdefault(b, (solved.get(b), rep))
 
     found = []
     for mask in sorted(winners, key=lambda m: (m.bit_count(), _mask_indices(m, z.n))):

@@ -1,5 +1,5 @@
-"""Smoke test of benchmarks/bench_pairs.py with a stub runner in place of
-perfbench/run.py."""
+"""Smoke test of benchmarks/bench_pairs.py with a stub perfbench/run.py in
+each fake checkout."""
 
 import json
 import subprocess
@@ -41,10 +41,10 @@ def _run(script, *args, cwd):
 
 def test_alternating_pairs_feed_bench_record(tmp_path):
     for side in ("parent", "change"):
-        (tmp_path / side).mkdir()
-        (tmp_path / side / "stub.py").write_text(STUB)
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(STUB)
     out = tmp_path / "out"
-    args = ("parent", "change", "--seed", 3, "--pairs", 3, "--out", out, "--runner", "stub.py")
+    args = ("parent", "change", "--seed", 3, "--pairs", 3, "--out", out)
     for workload in ("graph-sweep", "dense-sweep"):
         proc = _run("bench_pairs.py", *args, "--workload", workload, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
@@ -71,11 +71,11 @@ def test_alternating_pairs_feed_bench_record(tmp_path):
 
 def test_runner_without_record_fails(tmp_path):
     for side in ("parent", "change"):
-        (tmp_path / side).mkdir()
-        (tmp_path / side / "stub.py").write_text("print('{}')\n")
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("print('{}')\n")
     proc = _run(
         "bench_pairs.py", "parent", "change", "--workload", "graph-sweep", "--seed", 1,
-        "--pairs", 1, "--out", tmp_path / "out", "--runner", "stub.py", cwd=tmp_path,
+        "--pairs", 1, "--out", tmp_path / "out", cwd=tmp_path,
     )
     assert proc.returncode != 0 and "wrote no record" in proc.stderr
     assert not (tmp_path / "out").exists()

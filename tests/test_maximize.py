@@ -331,6 +331,43 @@ class TestPrunedSweep:
         maximize_exhaustive(z)
         assert len(calls) == solves
 
+    @pytest.mark.parametrize("relabel", [UNIQUE_NONNEG, UNRESOLVED], ids=["winners", "singular"])
+    @pytest.mark.parametrize(
+        "z, solves",
+        [(path_adjacency(4), 6), (_cycle_adjacency(4), 2), (path_adjacency(6), 9)],
+        ids=["path-4", "cycle-4", "path-6"],
+    )
+    def test_unreliable_solve_counts(self, monkeypatch, z, solves, relabel):
+        # an UNRELIABLE mask is solved before the maximum is taken, and that
+        # solve is reused if the mask wins: relabelling the scan's winning
+        # UNIQUE_NONNEG masks adds no solve, and relabelling its UNRESOLVED
+        # masks adds one per relabelled mask that does not win
+        module = importlib.import_module("maxdiv.maximize")
+        winning = {sum(1 << i for i in fs.indices) for fs in maximize_exhaustive(z).winners}
+        relabelled = []
+
+        def scan(values):
+            status, mags = scan_subsets(values)
+            for mask in np.flatnonzero(status == relabel) + 1:
+                if relabel == UNRESOLVED or mask in winning:
+                    status[mask - 1] = UNRELIABLE
+                    mags[mask - 1] = np.nan
+                    relabelled.append(int(mask))
+            return status, mags
+
+        calls = []
+
+        def counted(z, subset):
+            calls.append(tuple(subset))
+            return solve_weighting_space(z, subset)
+
+        monkeypatch.setattr(module, "scan_subsets", scan)
+        monkeypatch.setattr(module, "solve_weighting_space", counted)
+        maximize_exhaustive(z)
+        assert relabelled
+        assert len(set(calls)) == len(calls)
+        assert len(calls) == solves + len(set(relabelled) - winning)
+
 
     def test_sweep_makes_no_lp_call(self, monkeypatch):
         # singular subsets are settled by the tight-row closure, so the
