@@ -14,8 +14,12 @@ Writes ``BENCH_<LABEL>.json`` in the current directory.  For every workload
 and side it gives the runs, seeds, numpy versions and the host reference
 (median over the start and end timings of every run); for every metric, the
 median and interquartile range of each side and, for metrics that
-``BENCHMARK.json`` declares, the number of pairs the change won.  Only the
-standard library is used.
+``BENCHMARK.json`` declares, the number of pairs the change won.  For an
+end-to-end metric with a ``bound`` and runs on both sides it also gives
+the change's relative median shift, the parent's IQR over its median, and
+``unresolved``: whether that spread exceeds the bound, in which case the
+runs spread too widely to tell a shift within the bound from noise.  Only
+the standard library is used.
 """
 
 from __future__ import annotations
@@ -64,7 +68,9 @@ def side_summary(records: list[dict]) -> dict:
     }
 
 
-def summarize(parent: dict[str, dict], change: dict[str, dict], better: dict[str, str]) -> dict:
+def summarize(
+    parent: dict[str, dict], change: dict[str, dict], better: dict[str, str], bounds: dict[str, float]
+) -> dict:
     workloads = {}
     for name in sorted({r["workload"] for r in [*parent.values(), *change.values()]}):
         sides = {
@@ -91,6 +97,12 @@ def summarize(parent: dict[str, dict], change: dict[str, dict], better: dict[str
                 row["better"] = better[metric]
                 row["pairs"] = len(pairs)
                 row["change_wins"] = sum(sign * (p - c) > 0 for p, c in pairs)
+            if metric in bounds and "parent" in row and "change" in row:
+                base = row["parent"]["median"]
+                row["bound"] = bounds[metric]
+                row["shift"] = row["change"]["median"] / base - 1.0
+                row["parent_spread"] = row["parent"]["iqr"] / base
+                row["unresolved"] = row["parent_spread"] > bounds[metric]
             metrics[metric] = row
         entry["metrics"] = metrics
         workloads[name] = entry
@@ -106,9 +118,10 @@ def main(argv=None):
 
     declared = json.loads(BENCHMARK.read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"] if "bound" in m}
     out = {
         "label": args.label,
-        "workloads": summarize(load_runs(args.parent), load_runs(args.change), better),
+        "workloads": summarize(load_runs(args.parent), load_runs(args.change), better, bounds),
     }
     path = Path(f"BENCH_{args.label}.json")
     path.write_text(json.dumps(out, indent=1) + "\n")

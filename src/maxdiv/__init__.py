@@ -58,7 +58,7 @@ from .maximize import (
     maximize_fast_path,
     normalize_weighting,
 )
-from .oracle import GridMax, GridSpec, grid_max, grid_max_multi, refine, stationarity_gap
+from .oracle import GridMax, GridSpec, grid_max, grid_max_multi, refine
 
 __version__ = "0.1.0"
 
@@ -113,6 +113,5 @@ __all__ = [
     "refine",
     "restrict",
     "solve_weighting_space",
-    "stationarity_gap",
     "uniform",
 ]

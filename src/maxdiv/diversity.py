@@ -80,6 +80,9 @@ def _power_mean_core(ps: np.ndarray, xs: np.ndarray, t: float) -> np.ndarray:
         return np.exp(np.vecdot(ps, np.log(xs)))
     if math.isinf(t):
         return xs.max(axis=-1) if t > 0 else xs.min(axis=-1)
+    if abs(t) < 1e-3:
+        # s ** (1/t) scales s's rounding by 1/|t|: sum p (x^t - 1) with expm1
+        return np.exp(np.log1p(np.vecdot(ps, np.expm1(t * np.log(xs)))) / t)
     with np.errstate(over="ignore", under="ignore"):
         s = np.vecdot(ps, xs**t)
     ok = (s >= _NORMAL_MIN) & (s < math.inf)

@@ -1,4 +1,5 @@
-"""Graph and finite-metric applications of maximum diversity.
+"""Graph and finite-metric applications of maximum diversity, for graphs
+given by an edge list and finite metrics given by a distance matrix.
 
 A reflexive graph (loop on every vertex) is exactly a 0/1 similarity matrix
 with unit diagonal; its maximum diversity equals its independence number.
@@ -76,14 +77,6 @@ class IrreflexiveGraph:
 
     def complement(self) -> ReflexiveGraph:
         return ReflexiveGraph(self.n, _missing_edges(self))
-
-
-def path_graph(n: int) -> ReflexiveGraph:
-    return ReflexiveGraph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def complete_graph(n: int) -> ReflexiveGraph:
-    return ReflexiveGraph(n, combinations(range(n), 2))
 
 
 def adjacency_matrix(g: ReflexiveGraph) -> SimilarityMatrix:
@@ -205,13 +198,6 @@ class FiniteMetric:
     @property
     def n(self) -> int:
         return self.dist.shape[0]
-
-
-def from_points(points) -> FiniteMetric:
-    """Euclidean distance matrix of a point array (rows = points)."""
-    pts = np.asarray(points, dtype=np.float64)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return FiniteMetric(np.sqrt((diff**2).sum(axis=2)))
 
 
 def threshold_graph(metric: FiniteMetric, eps: float) -> ReflexiveGraph:

@@ -1,9 +1,8 @@
-"""Parsing and emitting the documented text formats.
+"""Parsing the text formats the CLI reads.
 
 Matrices and metrics are headerless CSV of floats; graphs are an ``n``
 header line followed by one edge per line (1-based vertex numbers);
-abundances are a single CSV row or one value per line.  Emit functions
-write full-precision floats so emit-then-parse round-trips exactly.
+abundances are a single CSV row or one value per line.
 """
 
 from __future__ import annotations
@@ -150,22 +149,3 @@ def parse_community(matrix_text: str, abundance_text: str, normalize: bool = Fal
     if z.n != p.n:
         raise ParseError(f"matrix is {z.n}x{z.n} but there are {p.n} abundances")
     return z, p
-
-
-def emit_matrix(z: SimilarityMatrix) -> str:
-    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in z.values)
-
-
-def emit_metric(metric: FiniteMetric) -> str:
-    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in metric.dist)
-
-
-def emit_graph(n: int, edges) -> str:
-    lines = [str(n)]
-    for i, j in sorted((min(e), max(e)) for e in edges):
-        lines.append(f"{i + 1} {j + 1}")
-    return "\n".join(lines) + "\n"
-
-
-def emit_abundances(p: Distribution) -> str:
-    return ",".join(repr(float(v)) for v in p.probs) + "\n"

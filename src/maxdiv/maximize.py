@@ -49,7 +49,10 @@ INVARIANT_RTOL = 1e-9
 class FeasibleSubset:
     """A subset whose submatrix admits a nonnegative weighting, with its
     magnitude and the full weighting space (affine description plus one
-    nonnegative representative)."""
+    nonnegative representative).  A winner's representative w solves
+    Z_B w = 1 within 1e-8, has no entry below -1e-8, and sums to ``dmax`` and
+    to ``magnitude`` within 1e-8·dmax (a singular winner's w is a tying
+    subset's weighting extended by zero; its magnitude is its own)."""
 
     indices: tuple[int, ...]
     magnitude: float

@@ -3,7 +3,8 @@ local pairwise mass-transfer polish.
 
 Nothing here touches the subset-sweep machinery, so oracle values can
 cross-check maximization results.  The lattice is the set of compositions
-k/m, giving deterministic, reproducible argmaxes.
+k/m, giving deterministic, reproducible argmaxes; :func:`refine` then moves
+mass between pairs of species until no such transfer raises the diversity.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ ORACLE_N_CAP = 6
 ORACLE_M_CAP = 60
 # Pairwise-transfer rounds per order in refine.
 REFINE_ROUNDS = 500
-# Finite-difference step of stationarity_gap.
-GAP_STEP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -167,24 +166,3 @@ def refine(z: SimilarityMatrix, q, start: Distribution) -> Distribution:
             p = _refine_single(z, qq, p)
     p = _refine_single(z, q, p)
     return Distribution(p)
-
-
-def stationarity_gap(z: SimilarityMatrix, p: Distribution, q) -> float:
-    """Largest one-sided finite-difference directional derivative (step
-    ``GAP_STEP``) of the diversity over feasible pairwise transfer directions
-    (0 at a local max)."""
-    q = check_order(q)
-    base = diversity(z, p, q)
-    worst = 0.0
-    for k in p.support:
-        step = min(GAP_STEP, p.probs[k] / 2.0)
-        if step <= 0:
-            continue
-        for j in range(z.n):
-            if j == int(k):
-                continue
-            cand = p.probs.copy()
-            cand[j] += step
-            cand[k] -= step
-            worst = max(worst, (diversity(z, Distribution(cand), q) - base) / step)
-    return worst

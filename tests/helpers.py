@@ -1,5 +1,7 @@
 """Shared fixtures-in-code: canonical matrices and random instance makers."""
 
+from itertools import combinations
+
 import numpy as np
 
 from maxdiv import (
@@ -44,6 +46,10 @@ ALL_ONES_2 = np.array([[1.0, 1.0], [1.0, 1.0]])
 
 def path_graph(n):
     return ReflexiveGraph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def complete_graph(n):
+    return ReflexiveGraph(n, combinations(range(n), 2))
 
 
 def path_adjacency(n):
@@ -132,10 +138,15 @@ def random_graph(rng, n, edge_prob=0.4):
     return ReflexiveGraph(n, edges)
 
 
-def random_planar_metric(rng, n, box=3.0):
-    pts = rng.uniform(0.0, box, size=(n, 2))
+def from_points(points):
+    """Euclidean distance matrix of a point array (rows = points)."""
+    pts = np.asarray(points, dtype=np.float64)
     diff = pts[:, None, :] - pts[None, :, :]
     return FiniteMetric(np.sqrt((diff**2).sum(axis=2)))
+
+
+def random_planar_metric(rng, n, box=3.0):
+    return from_points(rng.uniform(0.0, box, size=(n, 2)))
 
 
 def mask_indices(mask, n):

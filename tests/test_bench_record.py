@@ -27,6 +27,15 @@ def _write(root, name, record):
     path.write_text(json.dumps(record))
 
 
+def _run(tmp_path, parent, change):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), str(parent), str(change), "--label", "t"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads((tmp_path / "BENCH_t.json").read_text())
+
+
 def test_medians_iqr_and_pair_wins(tmp_path):
     parent, change = tmp_path / "parent", tmp_path / "change"
     for i, (p90_parent, p90_change) in enumerate([(70.0, 12.0), (74.0, 11.0), (60.0, 65.0)]):
@@ -35,12 +44,7 @@ def test_medians_iqr_and_pair_wins(tmp_path):
     _write(parent, "other", _record("graph-sweep", 8, 40.0, 30.0, 10.0))
     (change / "spans.jsonl").write_text("not a record\n")
 
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), str(parent), str(change), "--label", "t"],
-        cwd=tmp_path, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    out = _run(tmp_path, parent, change)
     assert out["label"] == "t"
     fast = out["workloads"]["fastpath-large"]
     assert fast["parent"]["seeds"] == [7] and fast["change"]["numpy"] == ["2.4.6"]
@@ -56,3 +60,22 @@ def test_medians_iqr_and_pair_wins(tmp_path):
     graph = out["workloads"]["graph-sweep"]
     assert "change" not in graph and graph["metrics"]["op_p90_ms"]["parent"]["runs"] == 1
     assert graph["metrics"]["op_p90_ms"]["pairs"] == 0
+
+
+def test_bounded_metrics_flag_a_parent_spread_wider_than_the_bound(tmp_path):
+    # BENCHMARK.json bounds op_p90_ms by 0.25 and peak_rss_mb by 0.1
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for i, (p90, rss) in enumerate([(40.0, 30.0), (44.0, 40.0), (36.0, 50.0)]):
+        _write(parent, f"{i:02d}", _record("lattice-oracle", 9, p90, rss, 10.0))
+        _write(change, f"{i:02d}", _record("lattice-oracle", 9, 50.0, 44.0, 10.0))
+    metrics = _run(tmp_path, parent, change)["workloads"]["lattice-oracle"]["metrics"]
+    # quartiles 38 and 42 around a median of 40: a 10 % spread resolves a 0.25 bound
+    p90 = metrics["op_p90_ms"]
+    assert p90["bound"] == 0.25 and p90["unresolved"] is False
+    assert p90["shift"] == pytest.approx(0.25) and p90["parent_spread"] == pytest.approx(0.1)
+    # quartiles 35 and 45 around 40: a 25 % spread cannot resolve a 0.1 bound
+    rss = metrics["peak_rss_mb"]
+    assert rss["bound"] == 0.1 and rss["unresolved"] is True
+    assert rss["shift"] == pytest.approx(0.1) and rss["parent_spread"] == pytest.approx(0.25)
+    # an unbounded metric gets neither
+    assert "unresolved" not in metrics["op_p50_ms"]

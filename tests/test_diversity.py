@@ -88,6 +88,14 @@ class TestDiversity:
             for q in QGRID:
                 assert diversity(z, p, q) == pytest.approx(n, abs=1e-12)
 
+    @pytest.mark.parametrize("q", [1 - 1e-5, 1 + 1e-5, 1 - 1e-7, 1 + 1e-7])
+    def test_orders_near_one_keep_full_precision(self, q):
+        # (sum p x^t)^(1/t) would raise the power sum's rounding to 1/|q - 1|
+        naive = diversity(SimilarityMatrix(np.eye(3)), uniform(3), q)
+        assert math.isclose(naive, 3.0, rel_tol=1e-15, abs_tol=0.0)
+        tiny = diversity(SimilarityMatrix([[1e-300]]), uniform(1), q)
+        assert math.isclose(tiny, 1e300, rel_tol=2e-13, abs_tol=0.0)
+
     def test_single_species(self):
         z = SimilarityMatrix(np.eye(2))
         p = Distribution([1.0, 0.0])

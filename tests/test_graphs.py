@@ -24,9 +24,9 @@ from maxdiv import (
     maximum_independent_set,
     uniform,
 )
-from maxdiv.graphs import GRAPH_CAP, METRIC_CAP, complete_graph, from_points, path_graph, threshold_graph
+from maxdiv.graphs import GRAPH_CAP, METRIC_CAP, threshold_graph
 
-from helpers import random_graph, random_planar_metric
+from helpers import complete_graph, from_points, path_graph, random_graph, random_planar_metric
 
 
 def _alpha_bruteforce(g):

@@ -9,6 +9,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in (ROOT / "src" / "maxdiv").glob("*.py") if p.name != "__init__.py")
 MODULES += sorted((ROOT / "tests").glob("*.py"))
+MODULES += sorted((ROOT / "benchmarks").glob("*.py"))
 
 
 def _unused_imports(path):

@@ -1,7 +1,11 @@
 """Property tests: the lattice sweep and the library evaluate diversity with
-one power mean, so every lattice value is the diversity at its point; and
-the subset sweep, which settles singular subsets by the tight-row closure,
-answers exactly as the sweep that solves every one of them."""
+one power mean, so every lattice value is the diversity at its point; the
+subset sweep, which settles singular subsets by the tight-row closure,
+answers exactly as the sweep that solves every one of them, and weights
+every winner by a nonnegative solution of Z_B w = 1 that sums to Dmax; and
+the maximizer meets the paper's theorems: its sample maximizer has a flat
+profile at Dmax, no lattice point beats Dmax, and a graph's Dmax is its
+independence number."""
 
 import math
 import warnings
@@ -17,6 +21,8 @@ from maxdiv import (
     diversity,
     diversity_profile,
     grid_max_multi,
+    independence_number,
+    maximize,
     maximize_exhaustive,
     power_mean,
 )
@@ -26,7 +32,10 @@ from helpers import (
     random_distribution,
     random_duplicated_psd,
     random_graph,
+    random_psd,
+    random_sdd,
     random_symmetric,
+    random_ultrametric,
     unpruned_reference,
 )
 
@@ -91,33 +100,90 @@ def test_lattice_values_are_diversities_at_their_points(base, scale, m, drawn):
 @example(base=np.eye(1), scale=1e-300, q=2.0625, seed=0)  # power sum 1e-319, subnormal
 def test_diversity_scales_inversely_with_the_matrix(base, scale, q, seed):
     # D_q(p, cZ) = D_q(p, Z) / c.  A power sum that lands among the
-    # subnormal doubles would break this by up to half the value.  Near
-    # q = 1 the final power 1/(q - 1) multiplies the power sum's relative
-    # rounding by 1/|q - 1|, so the bound widens there by that factor.
+    # subnormal doubles would break this by up to half the value.  For
+    # 1e-3 <= |q - 1| < 1 the final power 1/(q - 1) multiplies the power
+    # sum's relative rounding by 1/|q - 1|, so the bound widens there by
+    # that factor; closer to q = 1 the power mean sums p (x^t - 1) with
+    # expm1 and keeps full precision.
     p = random_distribution(np.random.default_rng(seed), base.shape[0])
-    rel_tol = 1e-12 / min(1.0, abs(q - 1.0)) if q != 1.0 else 1e-12
+    rel_tol = 1e-12 / min(1.0, abs(q - 1.0)) if abs(q - 1.0) >= 1e-3 else 1e-12
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scaled = diversity(SimilarityMatrix(scale * base), p, q) * scale
         assert math.isclose(scaled, diversity(SimilarityMatrix(base), p, q), rel_tol=rel_tol, abs_tol=0.0)
 
 
+MATRIX_FAMILIES = {
+    "graph": lambda rng, n: adjacency_matrix(random_graph(rng, n, rng.uniform(0.2, 0.8))),
+    "symmetric": random_symmetric,
+    "duplicated": random_duplicated_psd,
+    "psd": random_psd,
+    "ultrametric": random_ultrametric,
+    "sdd": random_sdd,
+}
+# 0/1 graph matrices and duplicated-species PSD matrices have many singular
+# subsets, dense symmetric ones few; the other families are positive
+# semidefinite, so maximize mostly takes the fast path on them.
+SWEEP_FAMILIES = ("graph", "symmetric", "duplicated")
+
+
 @st.composite
-def sweep_matrices(draw):
-    """A symmetric matrix with n <= 8 from one of three families: 0/1 graph
-    matrices and duplicated-species PSD matrices have many singular
-    subsets, dense symmetric ones few."""
-    n = draw(st.integers(2, 8))
+def family_matrices(draw, families=tuple(MATRIX_FAMILIES), max_n=8):
+    """A symmetric matrix with 2 <= n <= ``max_n`` from one of ``families``
+    of ``tests/helpers.py``."""
+    n = draw(st.integers(2, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(("graph", "symmetric", "duplicated")))
-    if kind == "graph":
-        return adjacency_matrix(random_graph(rng, n, rng.uniform(0.2, 0.8)))
-    if kind == "symmetric":
-        return random_symmetric(rng, n)
-    return random_duplicated_psd(rng, n)
+    return MATRIX_FAMILIES[draw(st.sampled_from(families))](rng, n)
 
 
 @settings(max_examples=60, deadline=None)
-@given(z=sweep_matrices())
+@given(z=family_matrices(SWEEP_FAMILIES))
 def test_pruned_and_unpruned_winners_are_identical(z):
     assert_same_result(maximize_exhaustive(z), *unpruned_reference(z))
+
+
+# perfbench's check_winners tolerance
+WINNER_TOL = 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=family_matrices(SWEEP_FAMILIES))
+def test_every_winner_weighting_solves_its_subset_and_sums_to_dmax(z):
+    r = maximize_exhaustive(z)
+    for fs in r.winners:
+        idx = np.array(fs.indices)
+        w = fs.weighting_space.nonnegative
+        assert np.abs(z.values[np.ix_(idx, idx)] @ w - 1.0).max() <= WINNER_TOL
+        assert w.min() >= -WINNER_TOL
+        assert abs(w.sum() - r.dmax) <= WINNER_TOL * r.dmax
+        assert abs(w.sum() - fs.magnitude) <= WINNER_TOL * r.dmax
+
+
+# the orders the paper's main theorem is checked at
+THEOREM_ORDERS = (0.0, 0.5, 1.0, 2.0, math.inf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=family_matrices())
+def test_sample_maximizer_has_a_flat_profile_at_dmax(z):
+    # the main theorem: one distribution maximizes every order at once
+    r = maximize(z)
+    for q in THEOREM_ORDERS:
+        assert abs(diversity(z, r.sample_maximizer, q) - r.dmax) <= 1e-8 * r.dmax, q
+
+
+@settings(max_examples=40, deadline=None)
+@given(z=family_matrices(max_n=4), m=st.integers(1, 12))
+def test_no_lattice_point_beats_dmax(z, m):
+    dmax = maximize(z).dmax
+    for gm in grid_max_multi(z, THEOREM_ORDERS, GridSpec(z.n, m)):
+        assert gm.value <= dmax * (1.0 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_graph_dmax_is_the_independence_number(n, seed):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+    dmax = maximize(adjacency_matrix(g)).dmax
+    assert abs(dmax - independence_number(g)) <= 1e-9
