@@ -28,7 +28,7 @@ from .graphs import (
 )
 from .io import parse_community, parse_graph, parse_matrix, parse_metric
 from .linalg import is_strictly_diagonally_dominant, is_ultrametric, solve_weighting_space
-from .maximize import _full_support, maximize
+from .maximize import full_support_diagnostics, maximize
 
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
@@ -53,7 +53,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         click.echo(f"error: cannot read {path}: {exc}", err=True)
         sys.exit(EXIT_INPUT)
 
@@ -188,9 +188,8 @@ def maximize_cmd(ctx, matrix_path, families, as_json):
 def diagnose_cmd(ctx, matrix_path, as_json):
     """Matrix-class predicates and species-preservation findings."""
     z = parse_matrix(_read(matrix_path))
-    diag, ws = _full_support(z)  # refuses asymmetry before any reduction
-    if ws is None:
-        ws = solve_weighting_space(z)
+    diag = full_support_diagnostics(z)  # refuses asymmetry before any reduction
+    ws = diag.weighting_space or solve_weighting_space(z)
     info = {
         "symmetric": z.symmetric,
         "positive_semidefinite": diag.positive_semidefinite,

@@ -141,6 +141,8 @@ def independence_number(g: ReflexiveGraph) -> int:
 
 
 def maximum_clique(x: IrreflexiveGraph) -> tuple[int, ...]:
+    if x.n > GRAPH_CAP:  # before the complement lists every non-edge
+        raise PreconditionError(f"graph size {x.n} exceeds the cap {GRAPH_CAP}")
     return maximum_independent_set(x.complement())
 
 

@@ -116,13 +116,11 @@ def _pivot(a: np.ndarray, r: int, c: int) -> None:
 
 def _rref(aug: np.ndarray, ncols: int, pivot_tol: float) -> list[int]:
     """In-place reduced row echelon form of ``aug`` over its first ``ncols``
-    columns; returns the pivot column list."""
-    rows = aug.shape[0]
+    columns; returns the pivot column list.  ``ncols`` is the row count of
+    ``aug``, so a row is left to pivot on at every column."""
     pivots = []
     r = 0
     for c in range(ncols):
-        if r == rows:
-            break
         piv = r + int(np.abs(aug[r:, c]).argmax())
         if abs(aug[piv, c]) <= pivot_tol:
             continue
@@ -207,28 +205,21 @@ def _phase1_nonneg(x0: np.ndarray, basis: np.ndarray):
     kn = basis.shape[0]
     # variables: t+ (kn), t- (kn), w (kb), artificials (appended)
     nv = 2 * kn + kb
-    rows = np.zeros((kb, nv))
-    rows[:, :kn] = -basis.T
-    rows[:, kn : 2 * kn] = basis.T
-    rows[:, 2 * kn :] = np.eye(kb)
-    rhs = x0.astype(np.float64).copy()
-    neg = rhs < 0
-    rows[neg] *= -1.0
-    rhs[neg] *= -1.0
-
-    art = np.flatnonzero(neg)
+    art = np.flatnonzero(x0 < 0)
     tab = np.zeros((kb, nv + art.size + 1))
-    tab[:, :nv] = rows
-    tab[:, -1] = rhs
+    tab[:, :kn] = -basis.T
+    tab[:, kn : 2 * kn] = basis.T
+    tab[:, 2 * kn : nv] = np.eye(kb)
+    tab[:, -1] = x0
+    tab[art] *= -1.0
     basis_idx = 2 * kn + np.arange(kb)  # w_r hosts row r, unless negated
     basis_idx[art] = nv + np.arange(art.size)
     tab[art, basis_idx[art]] = 1.0
 
     # objective: minimize the artificial sum
-    cost = np.zeros(nv + art.size + 1)
-    cost[nv:-1] = 1.0
-    obj = cost.copy()
-    for r in np.flatnonzero(neg):
+    obj = np.zeros(nv + art.size + 1)
+    obj[nv:-1] = 1.0
+    for r in art:
         obj -= tab[r]
 
     for _ in range(LP_ITERATION_CAP):
@@ -258,13 +249,11 @@ def _phase1_nonneg(x0: np.ndarray, basis: np.ndarray):
 
     if -obj[-1] > 1e-9:
         return None
+    # basic variables are distinct, and a t+ and its t- are never both basic
     t = np.zeros(kn)
-    for r in range(kb):
-        j = basis_idx[r]
-        if j < kn:
-            t[j] += tab[r, -1]
-        elif j < 2 * kn:
-            t[j - kn] -= tab[r, -1]
+    plus, minus = basis_idx < kn, (basis_idx >= kn) & (basis_idx < 2 * kn)
+    t[basis_idx[plus]] += tab[plus, -1]
+    t[basis_idx[minus] - kn] -= tab[minus, -1]
     return x0 + basis.T @ t
 
 

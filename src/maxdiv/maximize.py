@@ -61,7 +61,9 @@ class FeasibleSubset:
 
 @dataclass(frozen=True)
 class FullSupportDiagnostics:
-    """Whether maximization preserves all species, with certificates."""
+    """Whether maximization preserves all species, with certificates.
+    ``weighting_space`` is the one full-set reduction, made exactly when Z is
+    positive semidefinite (else ``None``); ``maximize`` and ``diagnose`` reuse it."""
 
     exists_full_support_maximizer: bool
     all_maximizers_full_support: bool
@@ -70,6 +72,7 @@ class FullSupportDiagnostics:
     min_eigenvalue: float
     eigenvalue_floor: float
     positive_weighting: np.ndarray | None
+    weighting_space: WeightingSolution | None
 
 
 @dataclass(frozen=True)
@@ -109,19 +112,12 @@ def is_invariant(z: SimilarityMatrix, p: Distribution) -> bool:
 
 
 def full_support_diagnostics(z: SimilarityMatrix) -> FullSupportDiagnostics:
-    """Species-preservation report.
+    """Species-preservation report from one ``eigvalsh``.
 
     A full-support maximizer exists exactly when Z is positive semidefinite
     and admits a positive weighting; every maximizer has full support exactly
     when Z is positive definite with positive weighting.
     """
-    return _full_support(z)[0]
-
-
-def _full_support(z: SimilarityMatrix):
-    """``(full_support_diagnostics(z), ws)``, where ``ws`` is the full set's
-    weighting space when Z is positive semidefinite and ``None`` otherwise:
-    one ``eigvalsh``, and one reduction of the full set only if Z is PSD."""
     _require_symmetric(
         z,
         "maximization, whose supremum for a nonsymmetric matrix can vary with "
@@ -130,7 +126,7 @@ def _full_support(z: SimilarityMatrix):
     psd, pd, low, floor = _spectrum(z)
     ws = solve_weighting_space(z) if psd else None
     pos = None if ws is None else _positive_weighting(ws)
-    diag = FullSupportDiagnostics(
+    return FullSupportDiagnostics(
         exists_full_support_maximizer=psd and pos is not None,
         all_maximizers_full_support=pd and pos is not None,
         positive_semidefinite=psd,
@@ -138,8 +134,8 @@ def _full_support(z: SimilarityMatrix):
         min_eigenvalue=low,
         eigenvalue_floor=floor,
         positive_weighting=pos,
+        weighting_space=ws,
     )
-    return diag, ws
 
 
 def _mask_indices(mask: int, n: int) -> tuple[int, ...]:
@@ -199,7 +195,7 @@ def _sweep(z: SimilarityMatrix, full_support) -> MaximizationResult:
     if z.n > SUBSET_CAP:
         raise PreconditionError(f"matrix size {z.n} exceeds the exhaustive cap {SUBSET_CAP}")
     if full_support is None:
-        diag = _full_support(z)[0]
+        diag = full_support_diagnostics(z)
         full_support = (diag.exists_full_support_maximizer, diag.all_maximizers_full_support)
     status, mags = scan_subsets(z.values)
 
@@ -263,10 +259,9 @@ def maximize_fast_path(z: SimilarityMatrix) -> MaximizationResult | None:
     definite, so their class tests only name the route in ``method``, and
     run only once the route applies.
     """
-    diag, ws = _full_support(z)
-    if ws is None:
-        return None
-    w = find_nonnegative_weighting(ws)
+    diag = full_support_diagnostics(z)
+    ws = diag.weighting_space
+    w = None if ws is None else find_nonnegative_weighting(ws)
     if w is None:
         return None
     if is_ultrametric(z):

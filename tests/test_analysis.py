@@ -10,16 +10,19 @@ import pytest
 from click.testing import CliRunner
 
 from maxdiv import (
+    PreconditionError,
     SimilarityMatrix,
     adjacency_matrix,
     find_positive_weighting,
     full_support_diagnostics,
     is_ultrametric,
     maximize,
+    maximize_exhaustive,
     solve_weighting_space,
 )
 from maxdiv.cli import main
 from maxdiv.linalg import POSITIVITY_EPS, SOLVE_TOL, _phase1_nonneg, _solve_affine
+from maxdiv.maximize import SUBSET_CAP
 
 from helpers import (
     THREE_SPECIES,
@@ -43,25 +46,24 @@ def _tree_ultrametric(n, base=0.85):
     return SimilarityMatrix(z)
 
 
+def _count(monkeypatch, counts, owner, name):
+    """Replace ``owner.name`` by a wrapper that counts calls in ``counts[name]``."""
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of ``np.linalg.eigvalsh``, row-reduction and ultrametric-test calls."""
-    linalg = importlib.import_module("maxdiv.linalg")
-    maximize_module = importlib.import_module("maxdiv.maximize")
     counts = {"eigvalsh": 0, "_rref": 0, "is_ultrametric": 0}
-
-    def count(owner, name):
-        fn = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-
-    count(np.linalg, "eigvalsh")
-    count(linalg, "_rref")
-    count(maximize_module, "is_ultrametric")
+    _count(monkeypatch, counts, np.linalg, "eigvalsh")
+    _count(monkeypatch, counts, importlib.import_module("maxdiv.linalg"), "_rref")
+    _count(monkeypatch, counts, importlib.import_module("maxdiv.maximize"), "is_ultrametric")
     return counts
 
 
@@ -99,6 +101,19 @@ def test_diagnose_reduces_the_full_matrix_once(calls, tmp_path):
     assert (calls["eigvalsh"], calls["_rref"]) == (1, 1)
 
 
+def test_diagnose_without_a_weighting(calls, tmp_path):
+    # not positive semidefinite (eigenvalue -1), and Z w = 1 is inconsistent
+    # because row 3 is the sum of rows 1 and 2
+    m = tmp_path / "z.csv"
+    m.write_text("1,2,3\n2,1,3\n3,3,6\n")
+    result = CliRunner().invoke(main, ["diagnose", "--matrix", str(m)])
+    assert result.exit_code == 0
+    assert "positive semidefinite: no" in result.output
+    assert "magnitude: undefined (no weighting)" in result.output
+    assert "positive weighting: none" in result.output
+    assert (calls["eigvalsh"], calls["_rref"]) == (1, 1)
+
+
 def test_diagnose_refuses_asymmetry_before_any_reduction(calls, tmp_path):
     z = np.random.default_rng(227).uniform(0.0, 0.5, size=(200, 200))
     np.fill_diagonal(z, 1.0)
@@ -107,6 +122,69 @@ def test_diagnose_refuses_asymmetry_before_any_reduction(calls, tmp_path):
     result = CliRunner().invoke(main, ["diagnose", "--matrix", str(m)])
     assert result.exit_code == 3
     assert "requires a symmetric similarity matrix" in result.output
+    assert (calls["eigvalsh"], calls["_rref"]) == (0, 0)
+
+
+# The names perfbench's tracer wraps in the module globals of maxdiv.maximize.
+_TRACED = (
+    "maximize_fast_path",
+    "maximize_exhaustive",
+    "full_support_diagnostics",
+    "scan_subsets",
+    "solve_weighting_space",
+    "find_nonnegative_weighting",
+    "find_positive_weighting",
+    "is_ultrametric",
+    "is_strictly_diagonally_dominant",
+    "is_positive_semidefinite",
+)
+
+
+@pytest.fixture
+def traced(monkeypatch):
+    """Calls of each ``_TRACED`` name, counted where the tracer wraps it: a
+    name that ``maxdiv.maximize`` does not import is never reached."""
+    module = importlib.import_module("maxdiv.maximize")
+    counts = dict.fromkeys(_TRACED, 0)
+    for name in _TRACED:
+        if hasattr(module, name):
+            _count(monkeypatch, counts, module, name)
+    return counts
+
+
+@pytest.mark.parametrize("entry", ["maximize", "maximize_fast_path", "maximize_exhaustive"])
+@pytest.mark.parametrize("z", [_tree_ultrametric(8), path_adjacency(4)], ids=["fast-path", "swept"])
+def test_each_entry_point_analyses_the_full_matrix_once(traced, entry, z):
+    getattr(importlib.import_module("maxdiv.maximize"), entry)(z)
+    assert traced["full_support_diagnostics"] == 1
+
+
+@pytest.mark.parametrize(
+    "z, reached",
+    [
+        (_tree_ultrametric(8), {"find_nonnegative_weighting", "is_ultrametric"}),
+        (
+            random_sdd(np.random.default_rng(233), 8),
+            {"find_nonnegative_weighting", "is_ultrametric", "is_strictly_diagonally_dominant"},
+        ),
+        (path_adjacency(4), {"scan_subsets"}),
+    ],
+    ids=["ultrametric", "diagonal-dominance", "swept"],
+)
+def test_maximize_reaches_the_traced_layers(traced, z, reached):
+    # a refactor that routes maximize past one of these names would zero
+    # that layer's metric in a traced benchmark run
+    maximize(z)
+    assert {name for name, k in traced.items() if k} == reached | {
+        "maximize_fast_path",
+        "full_support_diagnostics",
+        "solve_weighting_space",
+    }
+
+
+def test_exhaustive_cap_is_checked_before_the_analysis(calls):
+    with pytest.raises(PreconditionError, match=f"exceeds the exhaustive cap {SUBSET_CAP}"):
+        maximize_exhaustive(SimilarityMatrix(np.eye(SUBSET_CAP + 1)))
     assert (calls["eigvalsh"], calls["_rref"]) == (0, 0)
 
 

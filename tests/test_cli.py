@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from maxdiv.cli import main
+from maxdiv.graphs import GRAPH_CAP, IrreflexiveGraph
 from maxdiv.maximize import SUBSET_CAP
 
 from helpers import THREE_SPECIES
@@ -152,6 +153,21 @@ class TestMaximizeCommand:
         assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["maximize", "diversity"])
+def test_undecodable_file_exit_2(runner, tmp_path, command):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe1,0\n0,1\n")
+    good = _write(tmp_path, "z.csv", "1,0\n0,1\n")
+    args = {
+        "maximize": ["--matrix", str(bad)],
+        "diversity": ["--matrix", good, "--abundances", str(bad), "-q", "1"],
+    }[command]
+    result = runner.invoke(main, [command, *args])
+    assert result.exit_code == 2
+    assert f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff" in result.output
+    assert "Traceback" not in result.output
+
+
 class TestDiagnoseCommand:
     def test_three_species(self, runner, tmp_path):
         m = _write(tmp_path, "z.csv", THREE_SPECIES_CSV)
@@ -191,6 +207,37 @@ class TestGraphCommands:
         assert "N(d, eps)   = 2" in result.output
         assert "Dmax(Z^eps) = 2" in result.output
         assert "N(d, eps/2) = 4" in result.output
+
+    def test_capacity_json(self, runner, tmp_path):
+        g = _write(tmp_path, "g.txt", PATH4_GRAPH)
+        result = runner.invoke(main, ["graph", "capacity", "--graph", g, "--json"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert set(payload) == {"capacity", "clique", "witness"}
+        assert payload["capacity"] == 0.5
+        assert payload["clique"] in ([1, 2], [2, 3], [3, 4])  # every edge is a maximum clique
+        assert payload["witness"] == [0.5 if i + 1 in payload["clique"] else 0.0 for i in range(4)]
+
+    def test_capacity_over_cap_exit_3(self, runner, tmp_path, monkeypatch):
+        def complement(self):
+            raise AssertionError("complement built before the cap check")
+
+        monkeypatch.setattr(IrreflexiveGraph, "complement", complement)
+        g = _write(tmp_path, "g.txt", f"{GRAPH_CAP + 1}\n1 2\n")
+        result = runner.invoke(main, ["graph", "capacity", "--graph", g])
+        assert result.exit_code == 3
+        assert f"graph size {GRAPH_CAP + 1} exceeds the cap {GRAPH_CAP}" in result.output
+
+    def test_entropy_json(self, runner, tmp_path):
+        f = _write(tmp_path, "d.csv", "0,1,2\n1,0,1\n2,1,0\n")  # three points on a line
+        result = runner.invoke(main, ["graph", "entropy", "--metric", f, "--epsilon", "1", "--json"])
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {
+            "epsilon": 1.0,
+            "covering_number": 1,  # the middle point is within 1 of both ends
+            "covering_number_half": 3,
+            "dmax_of_threshold": 2.0,  # the two ends are 2 apart
+        }
 
     def test_bad_graph_exit_2(self, runner, tmp_path):
         g = _write(tmp_path, "g.txt", "3\n1 9\n")

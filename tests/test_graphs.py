@@ -153,6 +153,16 @@ class TestCliqueCapacity:
         assert clique_number(x) == 2
         assert set(maximum_clique(x)) in ({0, 1}, {1, 2}, {2, 3}, {0, 3})
 
+    def test_cap_is_checked_before_the_complement(self, monkeypatch):
+        def complement(self):
+            raise AssertionError("complement built before the cap check")
+
+        monkeypatch.setattr(IrreflexiveGraph, "complement", complement)
+        x = IrreflexiveGraph(GRAPH_CAP + 1, [(0, 1)])
+        for search in (maximum_clique, clique_number, clique_capacity):
+            with pytest.raises(PreconditionError, match=f"graph size {GRAPH_CAP + 1} exceeds the cap {GRAPH_CAP}"):
+                search(x)
+
 
 def _capacity_grid_oracle(x, m):
     """Lattice maximum of the ordered-pair adjacency quadratic form."""
