@@ -6,7 +6,10 @@ It holds weighting-space solves via row reduction with a declared pivot
 threshold, phase-1 LP feasibility for nonnegative weightings, and the
 matrix-class predicates that gate and name the maximizer's fast path.  Both
 eliminations clear a pivot column with one rank-1 numpy update, so an n x n
-solve takes O(n) numpy calls: a few milliseconds at n=128.
+reduction takes O(n) numpy calls: a few milliseconds at n=128.  A positive
+definite full set needs no kernel basis, so its one weighting comes from a
+single LAPACK solve instead (well under a millisecond at n=128); singular
+and subset systems keep the row reduction.
 """
 
 from __future__ import annotations
@@ -193,6 +196,16 @@ def solve_weighting_space(z: SimilarityMatrix, subset=None) -> WeightingSolution
     particular, nullspace = _solve_affine(a, np.ones(len(idx)))
     mag = float(particular.sum()) if particular is not None else None
     return WeightingSolution(idx, particular, nullspace, None, mag)
+
+
+def _solve_definite(z: SimilarityMatrix) -> WeightingSolution:
+    """The full set's weighting space when Z is positive definite: the one
+    weighting, from one LAPACK ``solve`` under the SOLVE_TOL residual gate.
+    A solution that fails the gate falls back to :func:`solve_weighting_space`."""
+    w = np.linalg.solve(z.values, np.ones(z.n))
+    if np.abs(z.values @ w - 1.0).max() <= SOLVE_TOL:  # a NaN fails the gate too
+        return WeightingSolution(tuple(range(z.n)), w, np.zeros((0, z.n)), None, float(w.sum()))
+    return solve_weighting_space(z)
 
 
 def _phase1_nonneg(x0: np.ndarray, basis: np.ndarray):

@@ -11,12 +11,14 @@ and settles every singular one by a tight-row closure of the tying ones
 When Z is positive semidefinite and the full set has a nonnegative
 weighting, its weighting space generates every maximizing distribution, so
 :func:`maximize_fast_path` answers from the spectrum and one solve of
-``Z w = 1``.  :func:`maximize` takes that route when it applies.
+``Z w = 1``: a single LAPACK solve when Z is positive definite, a row
+reduction that also yields the kernel when Z is only semidefinite.
+:func:`maximize` takes that route when it applies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .linalg import (
     _check_subset,
     _positive_weighting,
     _require_symmetric,
+    _solve_definite,
     _spectrum,
     find_nonnegative_weighting,
     is_strictly_diagonally_dominant,
@@ -62,8 +65,10 @@ class FeasibleSubset:
 @dataclass(frozen=True)
 class FullSupportDiagnostics:
     """Whether maximization preserves all species, with certificates.
-    ``weighting_space`` is the one full-set reduction, made exactly when Z is
-    positive semidefinite (else ``None``); ``maximize`` and ``diagnose`` reuse it."""
+    ``weighting_space`` is the one full-set solve, made exactly when Z is
+    positive semidefinite (else ``None``): one LAPACK solve when Z is
+    positive definite, else a row reduction, which also gives the kernel;
+    ``maximize`` and ``diagnose`` reuse it."""
 
     exists_full_support_maximizer: bool
     all_maximizers_full_support: bool
@@ -124,7 +129,7 @@ def full_support_diagnostics(z: SimilarityMatrix) -> FullSupportDiagnostics:
         "the order q and need not be attained by any distribution,",
     )
     psd, pd, low, floor = _spectrum(z)
-    ws = solve_weighting_space(z) if psd else None
+    ws = _solve_definite(z) if pd else solve_weighting_space(z) if psd else None
     pos = None if ws is None else _positive_weighting(ws)
     return FullSupportDiagnostics(
         exists_full_support_maximizer=psd and pos is not None,
@@ -272,7 +277,12 @@ def maximize_fast_path(z: SimilarityMatrix) -> MaximizationResult | None:
         method = "positive-semidefinite"
     winner = FeasibleSubset(tuple(range(z.n)), float(ws.magnitude), ws.with_nonnegative(w))
     full_support = (diag.exists_full_support_maximizer, diag.all_maximizers_full_support)
-    return _result(z, (winner,), full_support, method)
+    result = _result(z, (winner,), full_support, method)
+    if not ws.unique and diag.positive_weighting is not None:
+        # w ± t·u, for u in the kernel and small t, are two nonnegative
+        # weightings with the same sum (1ᵀu = wᵀZu = 0): two maximizers
+        result = replace(result, unique=False)
+    return result
 
 
 def maximize(z: SimilarityMatrix) -> MaximizationResult:

@@ -1,6 +1,8 @@
 """One analysis of the full matrix per call: the spectrum and the full-set
-row reduction are each computed once and shared by the fast path, the
-species-preservation flags and ``maxdiv diagnose``."""
+solve are each computed once and shared by the fast path, the
+species-preservation flags and ``maxdiv diagnose``.  A positive definite
+full set is solved by one LAPACK call, so only a singular positive
+semidefinite one reaches the row reduction."""
 
 import importlib
 import tracemalloc
@@ -10,9 +12,11 @@ import pytest
 from click.testing import CliRunner
 
 from maxdiv import (
+    Distribution,
     PreconditionError,
     SimilarityMatrix,
     adjacency_matrix,
+    diversity,
     find_positive_weighting,
     full_support_diagnostics,
     is_ultrametric,
@@ -21,10 +25,19 @@ from maxdiv import (
     solve_weighting_space,
 )
 from maxdiv.cli import main
-from maxdiv.linalg import POSITIVITY_EPS, SOLVE_TOL, _phase1_nonneg, _solve_affine
+from maxdiv.linalg import (
+    PIVOT_RTOL,
+    POSITIVITY_EPS,
+    SOLVE_TOL,
+    _phase1_nonneg,
+    _rref,
+    _solve_affine,
+    _spectrum,
+)
 from maxdiv.maximize import SUBSET_CAP
 
 from helpers import (
+    ALL_ONES_2,
     THREE_SPECIES,
     path_adjacency,
     random_duplicated_psd,
@@ -73,8 +86,8 @@ _RNG = np.random.default_rng(211)
 @pytest.mark.parametrize(
     "z, method, eigvalsh, rref",
     [
-        (_tree_ultrametric(128), "ultrametric", 1, 1),
-        (random_sdd(_RNG, 128), "diagonal-dominance", 1, 1),
+        (_tree_ultrametric(128), "ultrametric", 1, 0),
+        (random_sdd(_RNG, 128), "diagonal-dominance", 1, 0),
         (random_duplicated_psd(_RNG, 6), "positive-semidefinite", 1, 1),
         (random_symmetric(_RNG, 10), "exhaustive", 1, None),
         (path_adjacency(3), "exhaustive", 1, None),
@@ -92,12 +105,25 @@ def test_maximize_analyses_the_full_matrix_once(calls, z, method, eigvalsh, rref
 
 
 def test_diagnose_reduces_the_full_matrix_once(calls, tmp_path):
+    # THREE_SPECIES is positive definite: one LAPACK solve, no row reduction
     m = tmp_path / "z.csv"
     m.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in THREE_SPECIES) + "\n")
     result = CliRunner().invoke(main, ["diagnose", "--matrix", str(m)])
     assert result.exit_code == 0
     assert "positive semidefinite: yes" in result.output
     assert "magnitude: 1.4557" in result.output
+    assert (calls["eigvalsh"], calls["_rref"]) == (1, 0)
+
+
+def test_diagnose_reduces_a_singular_full_matrix_once(calls, tmp_path):
+    # positive semidefinite but singular: the row reduction gives the kernel
+    m = tmp_path / "z.csv"
+    m.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in ALL_ONES_2) + "\n")
+    result = CliRunner().invoke(main, ["diagnose", "--matrix", str(m)])
+    assert result.exit_code == 0
+    assert "positive semidefinite: yes" in result.output
+    assert "positive definite: no" in result.output
+    assert "magnitude: 1\n" in result.output
     assert (calls["eigvalsh"], calls["_rref"]) == (1, 1)
 
 
@@ -167,18 +193,18 @@ def test_each_entry_point_analyses_the_full_matrix_once(traced, entry, z):
             random_sdd(np.random.default_rng(233), 8),
             {"find_nonnegative_weighting", "is_ultrametric", "is_strictly_diagonally_dominant"},
         ),
-        (path_adjacency(4), {"scan_subsets"}),
+        (path_adjacency(4), {"scan_subsets", "solve_weighting_space"}),
     ],
     ids=["ultrametric", "diagonal-dominance", "swept"],
 )
 def test_maximize_reaches_the_traced_layers(traced, z, reached):
     # a refactor that routes maximize past one of these names would zero
-    # that layer's metric in a traced benchmark run
+    # that layer's metric in a traced benchmark run; a positive definite
+    # full set is solved inside the analysis, past solve_weighting_space
     maximize(z)
     assert {name for name, k in traced.items() if k} == reached | {
         "maximize_fast_path",
         "full_support_diagnostics",
-        "solve_weighting_space",
     }
 
 
@@ -209,6 +235,83 @@ def test_sweep_flags_match_a_fresh_analysis():
         psd_swept += d.positive_semidefinite
     assert swept >= 50
     assert psd_swept >= 5  # positive semidefinite, no nonnegative weighting
+
+
+def _gram_plus_identity(rng, n):
+    x = rng.random((n, 3))
+    return SimilarityMatrix(x @ x.T + np.eye(n))
+
+
+def test_definite_verdict_implies_a_full_rank_reduction():
+    # the LAPACK route reports no kernel, so it may run only where the row
+    # reduction would find none: a positive definite verdict must never sit
+    # on a matrix that _rref reduces below full rank
+    rng = np.random.default_rng(239)
+    makers = (
+        random_symmetric,
+        random_ultrametric,
+        random_sdd,
+        random_psd,
+        random_duplicated_psd,
+        _gram_plus_identity,
+        lambda rng, n: adjacency_matrix(random_graph(rng, n, rng.uniform(0.2, 0.7))),
+    )
+    cases = [make(rng, int(rng.integers(2, 13))) for _ in range(40) for make in makers]
+    cases += [
+        random_ultrametric(rng, 128, min_gap=0.005),
+        random_sdd(rng, 128),
+        _gram_plus_identity(rng, 128),
+    ]
+    definite = 0
+    for z in cases:
+        if not _spectrum(z)[1]:
+            continue
+        definite += 1
+        aug = np.concatenate([z.values, np.ones((z.n, 1))], axis=1)
+        assert len(_rref(aug, z.n, PIVOT_RTOL * float(np.abs(z.values).max()))) == z.n
+        got = full_support_diagnostics(z).weighting_space
+        ref = solve_weighting_space(z)
+        assert got.unique and got.subset == ref.subset
+        # 1e-12 relative, widened on ill-conditioned Z to cond(Z)·1e-15: two
+        # backward-stable solves differ by about cond(Z) times the roundoff
+        rtol = 1e-15 * max(1e3, float(np.linalg.cond(z.values)))
+        assert np.abs(got.particular - ref.particular).max() <= rtol * np.abs(ref.particular).max()
+        assert abs(got.magnitude - ref.magnitude) <= rtol * np.abs(ref.particular).sum()
+    assert definite >= 100
+    assert definite < len(cases)  # the singular and indefinite families take part
+
+
+def test_definite_solve_falls_back_on_a_failed_residual(calls, monkeypatch):
+    z = SimilarityMatrix(THREE_SPECIES)
+    ref = solve_weighting_space(z)
+    calls["_rref"] = 0
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
+    got = full_support_diagnostics(z).weighting_space
+    assert calls["_rref"] == 1
+    assert (got.subset, got.magnitude, got.nonnegative) == (ref.subset, ref.magnitude, None)
+    np.testing.assert_array_equal(got.particular, ref.particular)
+    np.testing.assert_array_equal(got.nullspace, ref.nullspace)
+
+
+def test_fast_path_kernel_with_positive_weighting_is_not_unique():
+    # w ± t·u for a kernel vector u are two maximizers; with duplicated
+    # species, the pair's mass can sit on either copy
+    rng = np.random.default_rng(241)
+    for _ in range(150):
+        z = random_duplicated_psd(rng, int(rng.integers(3, 10)))
+        r = maximize(z)
+        assert r.method == "positive-semidefinite"
+        assert r.unique is False
+        v = z.values
+        i, j = next((i, j) for i in range(z.n) for j in range(i) if (v[i] == v[j]).all())
+        p = r.sample_maximizer.probs
+        assert p[i] + p[j] > 1e-3  # so the two moves give distinct distributions
+        for keep, drop in ((i, j), (j, i)):
+            moved = p.copy()
+            moved[keep], moved[drop] = p[i] + p[j], 0.0
+            for q in (0.0, 1.0, 2.0, np.inf):
+                assert diversity(z, Distribution(moved), q) == pytest.approx(r.dmax, rel=1e-9, abs=0.0)
 
 
 def _positive_weighting_direct(z, subset, eps=POSITIVITY_EPS):
