@@ -1,21 +1,37 @@
 #!/usr/bin/env python3
-"""Time the package's two numpy kernels: the subset scan behind
-``maximize_exhaustive`` and the lattice sweep behind ``grid_max``.
+"""Time the package's two numpy kernels, the subset scan behind
+``maximize_exhaustive`` and the lattice sweep behind ``grid_max``, and the
+phase-1 LP behind ``find_nonnegative_weighting``.
 
 Run from the root of a checkout:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--scan-sizes 8,10,12] [--grid-sizes 3,4,5] [--resolution 40]
 
-Each row is the best of three timed calls after one warm-up call.
+Each row is the best of three timed calls after one warm-up call.  The LP
+row is the total time of ``find_nonnegative_weighting`` over a fixed corpus
+(set by ``--seed`` alone) of duplicated-species weighting spaces on which
+the LP runs: full sets and random subsets, each as solved and shifted by
+``-POSITIVITY_EPS`` as the positive-weighting search shifts it.  No
+perfbench workload reaches the LP, so this row is its only timing.
 """
 
 import argparse
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from maxdiv.kernels import grid_best, scan_subsets
+from maxdiv.linalg import (
+    POSITIVITY_EPS,
+    SOLVE_TOL,
+    SimilarityMatrix,
+    find_nonnegative_weighting,
+    solve_weighting_space,
+)
+
+LP_SPACES = 200
 
 QS = np.array([0.0, 0.5, 1.0, 2.0, 8.0, math.inf])
 
@@ -54,6 +70,35 @@ def bench_grid(rng, sizes, resolution):
     return rows
 
 
+def duplicated_psd(rng, n):
+    """A singular positive semidefinite matrix: a strictly diagonally
+    dominant base on k < n species, with n - k extra copies of its species."""
+    k = int(rng.integers(2, n))
+    off = random_similarity(rng, k)
+    np.fill_diagonal(off, 0.0)
+    off *= rng.uniform(0.2, 0.95) / off.sum(axis=1).max()
+    species = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+    rng.shuffle(species)
+    return SimilarityMatrix((off + np.eye(k))[np.ix_(species, species)])
+
+
+def bench_lp(rng):
+    spaces = []
+    while len(spaces) < LP_SPACES:
+        z = duplicated_psd(rng, int(rng.integers(6, 11)))
+        sub = np.flatnonzero(rng.uniform(size=z.n) < 0.7)
+        for idx in (None, sub if sub.size else None):
+            ws = solve_weighting_space(z, idx)
+            if ws.particular is None or ws.nullspace.shape[0] == 0:
+                continue
+            for space in (ws, replace(ws, particular=ws.particular - POSITIVITY_EPS)):
+                if space.particular.min() < -SOLVE_TOL:  # the LP runs
+                    spaces.append(space)
+    spaces = spaces[:LP_SPACES]
+    label = f"phase-1 LP ({LP_SPACES} duplicated-species weighting spaces, n=6-10)"
+    return [(label, time_call(lambda: [find_nonnegative_weighting(ws) for ws in spaces]))]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scan-sizes", default="8,10,12,14,16")
@@ -65,6 +110,7 @@ def main():
     rng = np.random.default_rng(args.seed)
     rows = bench_scan(rng, [int(s) for s in args.scan_sizes.split(",")])
     rows += bench_grid(rng, [int(s) for s in args.grid_sizes.split(",")], args.resolution)
+    rows += bench_lp(np.random.default_rng(args.seed))
 
     width = max(len(label) for label, _ in rows)
     header = f"{'kernel':<{width}}  {'time':>12}"

@@ -3,13 +3,13 @@
 Everything here works on dense matrices at desk scale: subsets of at most
 30 species in the sweep, full matrices in the low hundreds on the fast path.
 It holds weighting-space solves via row reduction with a declared pivot
-threshold, phase-1 LP feasibility for nonnegative weightings, and the
-matrix-class predicates that gate and name the maximizer's fast path.  Both
-eliminations clear a pivot column with one rank-1 numpy update, so an n x n
-reduction takes O(n) numpy calls: a few milliseconds at n=128.  A positive
-definite full set needs no kernel basis, so its one weighting comes from a
-single LAPACK solve instead (well under a millisecond at n=128); singular
-and subset systems keep the row reduction.
+threshold, a phase-1 LP over their kernel coordinates t >= 0 for nonnegative
+weightings, and the matrix-class predicates that gate and name the
+maximizer's fast path.  Both eliminations clear a pivot column with one
+rank-1 numpy update, so an n x n reduction takes O(n) numpy calls: a few
+milliseconds at n=128.  A positive definite full set needs no kernel basis,
+so its one weighting comes from a single LAPACK solve instead (well under a
+millisecond at n=128); singular and subset systems keep the row reduction.
 """
 
 from __future__ import annotations
@@ -209,23 +209,24 @@ def _solve_definite(z: SimilarityMatrix) -> WeightingSolution:
 
 
 def _phase1_nonneg(x0: np.ndarray, basis: np.ndarray):
-    """A point ``w = x0 + basis.T @ t`` with ``w >= 0``, or ``None``.
+    """A point ``w = x0 + basis.T @ t`` with ``t >= 0`` and ``w >= 0``, or ``None``.
 
-    Phase-1 simplex over the kernel coordinates with Bland's rule; raises
-    NumericalError if the pivot cap is hit (distinct from infeasibility).
+    Phase-1 simplex with Bland's rule; raises NumericalError if the pivot cap
+    is hit (distinct from infeasibility).  The cone t >= 0 misses no point of
+    a space from :func:`_solve_affine`: its kernel basis is the identity on
+    the free columns, where x0 is 0 or below, so t = w_free - x0_free >= 0.
     """
     kb = x0.shape[0]
     kn = basis.shape[0]
-    # variables: t+ (kn), t- (kn), w (kb), artificials (appended)
-    nv = 2 * kn + kb
+    # variables: t (kn), w (kb), artificials (appended)
+    nv = kn + kb
     art = np.flatnonzero(x0 < 0)
     tab = np.zeros((kb, nv + art.size + 1))
     tab[:, :kn] = -basis.T
-    tab[:, kn : 2 * kn] = basis.T
-    tab[:, 2 * kn : nv] = np.eye(kb)
+    tab[:, kn:nv] = np.eye(kb)
     tab[:, -1] = x0
     tab[art] *= -1.0
-    basis_idx = 2 * kn + np.arange(kb)  # w_r hosts row r, unless negated
+    basis_idx = kn + np.arange(kb)  # w_r hosts row r, unless negated
     basis_idx[art] = nv + np.arange(art.size)
     tab[art, basis_idx[art]] = 1.0
 
@@ -244,16 +245,11 @@ def _phase1_nonneg(x0: np.ndarray, basis: np.ndarray):
         ratios = np.full(kb, np.inf)
         pos = col > 1e-12
         ratios[pos] = tab[pos, -1] / col[pos]
-        leave = -1
-        best = np.inf
-        for r in range(kb):
-            if ratios[r] < best - 1e-15 or (
-                ratios[r] < best + 1e-15 and (leave < 0 or basis_idx[r] < basis_idx[leave])
-            ):
-                best = ratios[r]
-                leave = r
-        if leave < 0 or not np.isfinite(best):
+        best = ratios.min()
+        if not np.isfinite(best):
             break  # unbounded entering column cannot happen with w-slack rows
+        tied = np.flatnonzero(ratios <= best + 1e-15)
+        leave = int(tied[basis_idx[tied].argmin()])
         _pivot(tab, leave, entering)
         obj -= obj[entering] * tab[leave]
         basis_idx[leave] = entering
@@ -262,17 +258,17 @@ def _phase1_nonneg(x0: np.ndarray, basis: np.ndarray):
 
     if -obj[-1] > 1e-9:
         return None
-    # basic variables are distinct, and a t+ and its t- are never both basic
     t = np.zeros(kn)
-    plus, minus = basis_idx < kn, (basis_idx >= kn) & (basis_idx < 2 * kn)
-    t[basis_idx[plus]] += tab[plus, -1]
-    t[basis_idx[minus] - kn] -= tab[minus, -1]
+    basic = basis_idx < kn
+    t[basis_idx[basic]] = tab[basic, -1]
     return x0 + basis.T @ t
 
 
 def find_nonnegative_weighting(ws: WeightingSolution) -> np.ndarray | None:
     """A weighting with all entries >= -SOLVE_TOL, or ``None`` if the affine
-    solution space misses the nonnegative orthant (or is empty)."""
+    solution space misses the nonnegative orthant (or is empty).  ``ws`` is
+    from :func:`solve_weighting_space`, its particular possibly lowered by a
+    constant as :func:`_positive_weighting` does (see :func:`_phase1_nonneg`)."""
     if ws.particular is None:
         return None
     if ws.particular.min() >= -SOLVE_TOL:

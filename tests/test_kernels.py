@@ -175,6 +175,7 @@ def test_kernel_benchmark_script_runs():
     )
     assert res.returncode == 0, res.stderr
     rows = [line for line in res.stdout.splitlines() if line.endswith("ms")]
-    assert len(rows) == 2
+    assert len(rows) == 3
     assert rows[0].startswith("subset scan n=4 ")
     assert rows[1].startswith("lattice sweep n=3 m=5 ")
+    assert rows[2].startswith("phase-1 LP (200 duplicated-species weighting spaces")

@@ -1,3 +1,4 @@
+import importlib
 import time
 
 import numpy as np
@@ -20,6 +21,7 @@ from maxdiv import (
 from maxdiv.linalg import (
     LP_ITERATION_CAP,
     PIVOT_RTOL,
+    POSITIVITY_EPS,
     SOLVE_TOL,
     _phase1_nonneg,
     _rref,
@@ -226,7 +228,8 @@ class TestNonnegativeWeighting:
         assert find_nonnegative_weighting(ws) is None
 
     def test_phase1_against_interval_oracle(self):
-        # one kernel direction: feasibility is exact interval intersection
+        # one kernel direction: feasibility is exact interval intersection,
+        # starting from the LP's cone t >= 0
         rng = np.random.default_rng(211)
         feasible_cases = infeasible_cases = 0
         for _ in range(300):
@@ -234,7 +237,7 @@ class TestNonnegativeWeighting:
             x0 = rng.uniform(-1.0, 1.0, size=kb)
             v = rng.uniform(-1.0, 1.0, size=kb)
             v[np.abs(v) < 1e-3] = 0.0
-            lo, hi = -np.inf, np.inf
+            lo, hi = 0.0, np.inf
             empty = False
             for i in range(kb):
                 if v[i] > 0:
@@ -249,8 +252,9 @@ class TestNonnegativeWeighting:
                 feasible_cases += 1
                 assert w is not None
                 assert w.min() >= -1e-9
-                # w must lie on the line x0 + t v
+                # w must lie on the half-line x0 + t v, t >= 0
                 t = (w - x0) @ v / (v @ v)
+                assert t >= -1e-9
                 assert np.abs(w - (x0 + t * v)).max() <= 1e-9
             else:
                 infeasible_cases += 1
@@ -258,10 +262,11 @@ class TestNonnegativeWeighting:
         assert feasible_cases >= 50 and infeasible_cases >= 50
 
     def test_phase1_against_grid_oracle(self):
-        # several kernel directions: a lattice scan must never beat the LP
+        # several kernel directions: a lattice scan of the cone t >= 0 must
+        # never beat the LP
         rng = np.random.default_rng(223)
         lp_found = grid_found = 0
-        ts = np.linspace(-3.0, 3.0, 41)
+        ts = np.linspace(0.0, 3.0, 41)
         for trial in range(200):
             kb = int(rng.integers(2, 6))
             kn = int(rng.integers(2, 4))
@@ -289,6 +294,8 @@ class TestNonnegativeWeighting:
         assert w is not None and w.min() >= -1e-9
         # w = (-3 + t, 1 - t): needs t >= 3 and t <= 1, infeasible
         assert _phase1_nonneg(np.array([-3.0, 1.0]), np.array([[1.0, -1.0]])) is None
+        # w = (-1 - t, 2 + t): feasible for t <= -1, outside the cone t >= 0
+        assert _phase1_nonneg(np.array([-1.0, 2.0]), np.array([[-1.0, 1.0]])) is None
         # two kernel directions
         w = _phase1_nonneg(
             np.array([-1.0, -1.0, 5.0]),
@@ -311,6 +318,39 @@ class TestPositiveWeighting:
     def test_absent_when_unique_weighting_negative(self):
         z = SimilarityMatrix([[1.0, 0.9, 0.9], [0.9, 1.0, 0.1], [0.9, 0.1, 1.0]])
         assert find_positive_weighting(z) is None
+
+    def test_duplicated_species_weighting_found_by_lp(self, monkeypatch):
+        # spreading the base's positive weighting over each species' copies
+        # gives a positive weighting, so both searches must return a point;
+        # the eps-shifted search sends every such space through the LP
+        linalg = importlib.import_module("maxdiv.linalg")
+        lp = linalg._phase1_nonneg
+        lp_calls = []
+
+        def counted(x0, basis):
+            lp_calls.append(x0.size)
+            return lp(x0, basis)
+
+        monkeypatch.setattr(linalg, "_phase1_nonneg", counted)
+        rng = np.random.default_rng(331)
+        used = 0
+        for _ in range(300):
+            z = random_duplicated_psd(rng, int(rng.integers(3, 11)))
+            _, first, species = np.unique(z.values, axis=0, return_index=True, return_inverse=True)
+            base_weighting = np.linalg.solve(z.values[np.ix_(first, first)], np.ones(first.size))
+            if base_weighting.min() <= 0:
+                continue
+            used += 1
+            spread = base_weighting[species] / np.bincount(species)[species]
+            assert np.abs(z.values @ spread - 1.0).max() <= 10 * SOLVE_TOL
+            ws = solve_weighting_space(z)
+            nonneg, pos = find_nonnegative_weighting(ws), find_positive_weighting(z)
+            assert nonneg is not None and nonneg.min() >= -SOLVE_TOL
+            assert pos is not None and pos.min() >= POSITIVITY_EPS
+            for w in (nonneg, pos):
+                assert np.abs(z.values @ w - 1.0).max() <= 10 * SOLVE_TOL
+                assert abs(w.sum() - ws.magnitude) <= 10 * SOLVE_TOL
+        assert used >= 200 and len(lp_calls) >= used
 
 
 class TestPredicates:
@@ -581,6 +621,30 @@ class TestEliminationParity:
             assert np.array_equal(_solve_affine(a, np.ones(k))[1], kernel)
         assert deficient >= 40
 
+    def test_kernel_basis_is_identity_on_free_columns(self):
+        # the phase-1 LP searches only t >= 0; that loses no point because
+        # the kernel basis is the identity, and the particular exactly 0, on
+        # the columns the reduction leaves free
+        rng = np.random.default_rng(317)
+        deficient = 0
+        for a in _parity_corpus():
+            z = SimilarityMatrix(a)
+            subsets = [np.arange(z.n)] + [np.flatnonzero(rng.uniform(size=z.n) < 0.7) for _ in range(3)]
+            for sub in subsets:
+                if sub.size == 0:
+                    continue
+                ws = solve_weighting_space(z, sub)
+                b = z.sub(sub)
+                aug = np.concatenate([b, np.ones((sub.size, 1))], axis=1)
+                pivots = _rref(aug, sub.size, PIVOT_RTOL * float(np.abs(b).max()))
+                free = np.setdiff1d(np.arange(sub.size), pivots)
+                assert ws.nullspace.shape[0] == free.size
+                assert np.array_equal(ws.nullspace[:, free], np.eye(free.size))
+                if ws.particular is not None:
+                    assert np.array_equal(ws.particular[free], np.zeros(free.size))
+                deficient += free.size > 0
+        assert deficient >= 200
+
     def test_phase1_matches_row_at_a_time_pivots(self):
         rng = np.random.default_rng(313)
         cases = []
@@ -591,10 +655,18 @@ class TestEliminationParity:
                 ws = solve_weighting_space(z, sub if sub.size else None)
                 if ws.particular is not None and ws.nullspace.shape[0] > 0:
                     cases += [(ws.particular, ws.nullspace), (ws.particular - 0.05, ws.nullspace)]
-        for _ in range(200):
+        # random spaces in _solve_affine's shape: the kernel basis is the
+        # identity on a random free set, where x0 is 0 (or -0.05 once the
+        # whole particular is shifted), and random on the pivot columns
+        for trial in range(200):
             kb = int(rng.integers(2, 7))
-            kn = int(rng.integers(1, 4))
-            cases.append((rng.uniform(-1.0, 1.0, size=kb), rng.uniform(-1.0, 1.0, size=(kn, kb))))
+            kn = int(rng.integers(1, kb))
+            free = np.sort(rng.choice(kb, size=kn, replace=False))
+            basis = rng.uniform(-1.0, 1.0, size=(kn, kb))
+            basis[:, free] = np.eye(kn)
+            x0 = rng.uniform(-1.0, 1.0, size=kb)
+            x0[free] = 0.0
+            cases.append((x0 - 0.05 if trial % 2 else x0, basis))
         found = 0
         for x0, basis in cases:
             w, ref = _phase1_nonneg(x0, basis), _phase1_by_rows(x0, basis)
