@@ -73,28 +73,28 @@ def check_order(q) -> float:
 
 
 def _power_mean_core(ps: np.ndarray, xs: np.ndarray, t: float) -> np.ndarray:
-    """Power mean of order ``t`` of ``xs`` weighted by ``ps``, one per row of
-    the last axis (0-d for vectors).  A zero weight needs the neutral value
-    1 for finite ``t`` and 0 for ``t = inf``."""
+    """Power mean of order ``t`` of ``xs`` weighted by ``ps``, one per column
+    of the first axis (0-d for vectors).  A zero weight needs the neutral
+    value 1 for finite ``t`` and 0 for ``t = inf``."""
     if t == 0.0:
-        return np.exp(np.vecdot(ps, np.log(xs)))
+        return np.exp(np.vecdot(ps, np.log(xs), axis=0))
     if math.isinf(t):
-        return xs.max(axis=-1) if t > 0 else xs.min(axis=-1)
+        return xs.max(axis=0) if t > 0 else xs.min(axis=0)
     if abs(t) < 1e-3:
         # s ** (1/t) scales s's rounding by 1/|t|: sum p (x^t - 1) with expm1
-        return np.exp(np.log1p(np.vecdot(ps, np.expm1(t * np.log(xs)))) / t)
+        return np.exp(np.log1p(np.vecdot(ps, np.expm1(t * np.log(xs)), axis=0)) / t)
     with np.errstate(over="ignore", under="ignore"):
-        s = np.vecdot(ps, xs**t)
+        s = np.vecdot(ps, xs**t, axis=0)
     ok = (s >= _NORMAL_MIN) & (s < math.inf)
     if ok.all():
         return s ** (1.0 / t)
     # the power sum overflowed or fell below the normal range: recompute
-    # those rows in log space, where a zero weight's log(0) = -inf drops out
+    # those columns in log space, where a zero weight's log(0) = -inf drops out
     with np.errstate(divide="ignore"):
         lt = np.log(ps) + t * np.log(xs)
         mean = s ** (1.0 / t)
-    mx = lt.max(axis=-1, keepdims=True)
-    ls = mx[..., 0] + np.log(np.exp(lt - mx).sum(axis=-1))
+    mx = lt.max(axis=0, keepdims=True)
+    ls = mx[0] + np.log(np.exp(lt - mx).sum(axis=0))
     return np.where(ok, mean, np.exp(ls / t))
 
 

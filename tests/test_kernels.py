@@ -1,5 +1,6 @@
 """The numpy kernels against plain reference implementations."""
 
+import math
 import os
 import subprocess
 import sys
@@ -8,12 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import maxdiv.kernels as kernels
 from maxdiv import adjacency_matrix
+from maxdiv.diversity import _NORMAL_MIN, _power_mean_core
 from maxdiv.kernels import (
     UNRELIABLE,
     UNRESOLVED,
     _subset_groups,
     compositions,
+    grid_best,
     scan_subsets,
 )
 from maxdiv.linalg import PIVOT_RTOL, SOLVE_TOL
@@ -165,6 +169,174 @@ def test_compositions_match_recursive_builder(n):
         with pytest.raises(ValueError):
             out[0, 0] = 1
 
+
+# Orders reaching every branch of the power mean, t = q - 1: t = -1, -0.5,
+# 1 and 2 (the direct power sum), t = -5e-4 and 7e-4 (expm1/log1p), t = 0,
+# t = 699 (the log-space fallback, where the power sum underflows or
+# overflows) and t = inf.
+GRID_ORDERS = (0.0, 0.5, 0.9995, 1.0, 1.0007, 2.0, 3.0, 700.0, math.inf)
+
+
+def _power_mean_rows(ps, xs, t, taken):
+    # the power mean as the row-major lattice sweep used it: one per row of
+    # the last axis; records the branches it takes in `taken`
+    if t == 0.0:
+        taken.add("geometric")
+        return np.exp(np.vecdot(ps, np.log(xs)))
+    if math.isinf(t):
+        taken.add("max")
+        return xs.max(axis=-1) if t > 0 else xs.min(axis=-1)
+    if abs(t) < 1e-3:
+        taken.add("expm1")
+        return np.exp(np.log1p(np.vecdot(ps, np.expm1(t * np.log(xs)))) / t)
+    with np.errstate(over="ignore", under="ignore"):
+        s = np.vecdot(ps, xs**t)
+    ok = (s >= _NORMAL_MIN) & (s < math.inf)
+    if ok.all():
+        taken.add("direct")
+        return s ** (1.0 / t)
+    taken.add("underflow" if (s < _NORMAL_MIN).any() else "overflow")
+    with np.errstate(divide="ignore"):
+        lt = np.log(ps) + t * np.log(xs)
+        mean = s ** (1.0 / t)
+    mx = lt.max(axis=-1, keepdims=True)
+    ls = mx[..., 0] + np.log(np.exp(lt - mx).sum(axis=-1))
+    return np.where(ok, mean, np.exp(ls / t))
+
+
+def _grid_best_rows(z, qs, m, taken, chunk=131072):
+    # the lattice sweep before it went species-major: (chunk, n) rows
+    z = np.ascontiguousarray(z, dtype=np.float64)
+    qs = np.asarray(qs, dtype=np.float64)
+    n = z.shape[0]
+    best_vals = np.full(qs.shape[0], -np.inf)
+    best_pts = np.zeros((qs.shape[0], n))
+    counts = compositions(n, m)
+    for lo in range(0, counts.shape[0], chunk):
+        cc = counts[lo : lo + chunk]
+        pc = cc / m
+        xpc = pc @ z.T
+        off = cc == 0
+        x_finite = np.where(off, 1.0, xpc)
+        x_max = np.where(off, 0.0, xpc)
+        for i, q in enumerate(qs):
+            vals = 1.0 / _power_mean_rows(pc, x_max if math.isinf(q) else x_finite, q - 1.0, taken)
+            j = int(vals.argmax())
+            if vals[j] > best_vals[i]:
+                best_vals[i] = vals[j]
+                best_pts[i] = pc[j]
+    return best_vals, best_pts
+
+
+def _grid_cases():
+    # (z, m) for n = 1..6; per (n, m): a random matrix, one with a zero
+    # off-diagonal pair, one scaled by 8 (the power sum at q = 700
+    # overflows) and one scaled by 0.3 (it underflows everywhere); the
+    # unscaled ones underflow only on spread-out compositions.  Diagonals
+    # are random too: a permutation of species that fixes Z would tie
+    # lattice points exactly, and which of them wins would then rest on
+    # the last bit of the summation order.
+    rng = np.random.default_rng(181)
+    resolutions = {1: (1, 9), 2: (3, 17, 40), 3: (5, 23, 40), 4: (6, 19, 30), 5: (4, 13, 24), 6: (3, 9, 14)}
+    cases = []
+    for n, ms in resolutions.items():
+        for m in ms:
+            z = [random_symmetric(rng, n, unit_diag=False).values.copy() for _ in range(4)]
+            if n > 1:
+                i, j = rng.choice(n, size=2, replace=False)
+                z[1][i, j] = z[1][j, i] = 0.0
+            cases += [(z[0], m), (z[1], m), (8.0 * z[2], m), (0.3 * z[3], m)]
+    return cases
+
+
+def test_grid_best_matches_row_major_sweep():
+    # z @ pc sums in another order than the row-major pc @ z.T, so values
+    # may differ in the last bit; the argmax points may not
+    taken = set()
+    cases = _grid_cases()
+    for z, m in cases:
+        vals, pts = grid_best(z, GRID_ORDERS, m)
+        ref_vals, ref_pts = _grid_best_rows(z, GRID_ORDERS, m, taken)
+        assert np.array_equal(pts, ref_pts)
+        np.testing.assert_allclose(vals, ref_vals, rtol=1e-15, atol=0.0)
+    assert len(cases) == 68
+    assert taken == {"geometric", "max", "expm1", "direct", "underflow", "overflow"}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_grid_best_across_chunk_sizes(monkeypatch, chunk):
+    # From two compositions a chunk up, BLAS takes the same matrix-product
+    # and strided-dot kernels, so every value is the same double; a one-wide
+    # last chunk holds the vertex (0, ..., 0, m), where every sum has one
+    # nonzero term and is exact.  Chunks of one take BLAS's matrix-vector
+    # and unit-stride dot kernels, which round differently for n >= 4:
+    # there the values agree to the last bits and the points are the same.
+    limit = 400 if chunk == 1 else 2500
+    cases = [(z, m) for z, m in _grid_cases() if math.comb(m + z.shape[0] - 1, m) <= limit]
+    default = [grid_best(z, GRID_ORDERS, m) for z, m in cases]
+    monkeypatch.setattr(kernels, "_GRID_CHUNK", chunk)
+    for (z, m), (vals, pts) in zip(cases, default):
+        out_vals, out_pts = grid_best(z, GRID_ORDERS, m)
+        assert np.array_equal(out_pts, pts)
+        if chunk == 1:
+            np.testing.assert_allclose(out_vals, vals, rtol=1e-15, atol=0.0)
+        else:
+            assert np.array_equal(out_vals, vals)
+    assert len(cases) >= 25
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_grid_ties_go_to_the_first_composition(monkeypatch, chunk):
+    # With Z all ones every lattice point ties.  The resolutions are powers
+    # of two, so every lattice point and every Zp is exact and each value
+    # is exactly 1; with other m the points miss the simplex by an ulp and
+    # their values differ in the last bit.
+    if chunk is not None:
+        monkeypatch.setattr(kernels, "_GRID_CHUNK", chunk)
+    for n in range(1, 7):
+        for m in (1, 2, 8, 16):
+            if chunk == 1 and math.comb(m + n - 1, m) > 400:
+                continue
+            vals, pts = grid_best(np.ones((n, n)), GRID_ORDERS, m)
+            first = np.zeros(n)
+            first[0] = 1.0
+            assert np.array_equal(vals, np.ones(len(GRID_ORDERS)))
+            assert np.array_equal(pts, np.tile(first, (len(GRID_ORDERS), 1)))
+
+
+@pytest.mark.parametrize("t", [0.0, -5e-4, 7e-4, -1.0, 2.0, 699.0, -699.0, math.inf, -math.inf])
+def test_power_mean_columns_match_vector_calls(t):
+    # One (species, batch) call against one call per column.  Each column
+    # goes in once as an (n, 1) view, which must give the same doubles, and
+    # once as a vector.  A vector call's power sum is a numpy scalar, whose
+    # `**` rounds apart from the array loop's (np.float64(s) ** -1.0 can
+    # differ from 1 / s by an ulp), so where a power of the sum is taken
+    # the vector results agree to rounding only.  At |t| = 699 the batch
+    # mixes columns whose power sum is normal with columns where it
+    # underflows or overflows.
+    rng = np.random.default_rng(7)
+    for n in range(1, 7):
+        ps = rng.uniform(size=(n, 24))
+        ps[rng.uniform(size=ps.shape) < 0.3] = 0.0
+        ps[0, ps.sum(axis=0) == 0] = 1.0
+        ps /= ps.sum(axis=0)
+        scale = np.repeat([0.2, 0.9, 1.0, 1.1, 4.0, 1.0], 4)  # per column
+        xs = scale * rng.uniform(0.8, 1.0, size=(n, 24))
+        xs[ps == 0] = 0.0 if t == math.inf else 1.0
+        out = _power_mean_core(ps, xs, t)
+        assert out.shape == (24,)
+        cols = [_power_mean_core(ps[:, j : j + 1], xs[:, j : j + 1], t) for j in range(24)]
+        assert np.array_equal(out, np.concatenate(cols))
+        vecs = np.array([_power_mean_core(ps[:, j], xs[:, j], t) for j in range(24)])
+        if t in (-1.0, 2.0, 699.0, -699.0):
+            np.testing.assert_allclose(out, vecs, rtol=1e-15, atol=0.0)
+        else:
+            assert np.array_equal(out, vecs)
+        if abs(t) == 699.0 and n > 1:
+            with np.errstate(over="ignore", under="ignore"):
+                s = np.vecdot(ps, xs**t, axis=0)
+            ok = (s >= _NORMAL_MIN) & (s < math.inf)
+            assert ok.any() and not ok.all()
 
 def test_kernel_benchmark_script_runs():
     root = Path(__file__).resolve().parents[1]
