@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the package's two numpy kernels, the subset scan behind
-``maximize_exhaustive`` and the lattice sweep behind ``grid_max``, and the
-phase-1 LP behind ``find_nonnegative_weighting``.
+``maximize_exhaustive`` and the lattice sweep behind ``grid_max``, the
+phase-1 LP behind ``find_nonnegative_weighting``, and the ultrametric test
+that names the fast path.
 
 Run from the root of a checkout:
 
@@ -12,7 +13,10 @@ row is the total time of ``find_nonnegative_weighting`` over a fixed corpus
 (set by ``--seed`` alone) of duplicated-species weighting spaces on which
 the LP runs: full sets and random subsets, each as solved and shifted by
 ``-POSITIVITY_EPS`` as the positive-weighting search shifts it.  No
-perfbench workload reaches the LP, so this row is its only timing.
+perfbench workload reaches the LP, so this row is its only timing.  The
+ultrametric rows call ``is_ultrametric`` on one random ultrametric (set by
+``--seed`` alone) at each of n = 128, 256 and 512; the test passes on it, so
+it checks every species.
 """
 
 import argparse
@@ -28,10 +32,12 @@ from maxdiv.linalg import (
     SOLVE_TOL,
     SimilarityMatrix,
     find_nonnegative_weighting,
+    is_ultrametric,
     solve_weighting_space,
 )
 
 LP_SPACES = 200
+ULTRAMETRIC_SIZES = (128, 256, 512)
 
 QS = np.array([0.0, 0.5, 1.0, 2.0, 8.0, math.inf])
 
@@ -99,6 +105,29 @@ def bench_lp(rng):
     return [(label, time_call(lambda: [find_nonnegative_weighting(ws) for ws in spaces]))]
 
 
+def random_ultrametric(rng, n):
+    """Agglomerative merges of random clusters at n - 1 distinct levels in
+    (0.05, 0.95), highest first, so species labels follow no tree order."""
+    z = np.eye(n)
+    clusters = [[i] for i in range(n)]
+    for level in np.sort(rng.uniform(0.05, 0.95, size=n - 1))[::-1]:
+        a, b = sorted(rng.choice(len(clusters), size=2, replace=False))
+        ia, ib = np.array(clusters[a]), np.array(clusters[b])
+        z[np.ix_(ia, ib)] = level
+        z[np.ix_(ib, ia)] = level
+        clusters[a] += clusters.pop(b)
+    return SimilarityMatrix(z)
+
+
+def bench_ultrametric(rng):
+    rows = []
+    for n in ULTRAMETRIC_SIZES:
+        z = random_ultrametric(rng, n)
+        assert is_ultrametric(z)
+        rows.append((f"ultrametric test n={n} (ultrametric input)", time_call(lambda: is_ultrametric(z))))
+    return rows
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scan-sizes", default="8,10,12,14,16")
@@ -111,6 +140,7 @@ def main():
     rows = bench_scan(rng, [int(s) for s in args.scan_sizes.split(",")])
     rows += bench_grid(rng, [int(s) for s in args.grid_sizes.split(",")], args.resolution)
     rows += bench_lp(np.random.default_rng(args.seed))
+    rows += bench_ultrametric(np.random.default_rng(args.seed))
 
     width = max(len(label) for label, _ in rows)
     header = f"{'kernel':<{width}}  {'time':>12}"

@@ -177,8 +177,11 @@ _GRID_CHUNK = 8192
 def grid_best(z: np.ndarray, qs, m: int):
     """Best lattice distribution (step ``1/m``) for each order in ``qs``.
 
-    Returns ``(values, points)`` with one row per order; ties go to the
-    earliest composition in canonical order.
+    Returns ``(values, points)`` with one row per order.  Values that tie
+    in floating point go to the earliest composition in canonical order.
+    Exact lattice ties need not: unless ``m`` is a power of two, ``counts /
+    m`` can miss the simplex by an ulp, so points whose exact values tie can
+    differ in their last bit and a later composition can win.
     """
     z = np.ascontiguousarray(z, dtype=np.float64)
     qs = np.asarray(qs, dtype=np.float64)

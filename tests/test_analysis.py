@@ -6,10 +6,13 @@ semidefinite one reaches the row reduction."""
 
 import importlib
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxdiv import (
     Distribution,
@@ -379,6 +382,66 @@ def test_ultrametric_matches_cubic_form():
             verdicts.append(is_ultrametric(m))
             assert verdicts[-1] == _ultrametric_cubic(m)
     assert 50 <= sum(verdicts) <= 250
+
+
+def _perturbed_ultrametrics(rng, count):
+    """``(family, matrix)`` pairs from ``count`` random ultrametrics at
+    n = 1, ..., 12 in turn.  Each is relabelled, so species 0 need not be a
+    cluster root, and half are rounded onto 2-3 levels, so most similar
+    earlier species tie.  Each then also comes with one symmetric pair moved
+    one ulp up, one ulp down, or onto another level of the matrix."""
+    for k in range(count):
+        n = 1 + k % 12
+        order = rng.permutation(n)
+        v = random_ultrametric(rng, n).values[np.ix_(order, order)]
+        off = ~np.eye(n, dtype=bool)
+        family = "relabelled"
+        if rng.uniform() < 0.5:
+            cuts = np.sort(rng.uniform(0.05, 0.95, size=int(rng.integers(1, 3))))
+            levels = np.sort(rng.uniform(0.05, 0.95, size=cuts.size + 1))
+            v[off] = levels[np.digitize(v[off], cuts)]  # monotone: stays ultrametric
+            family = "rounded"
+        yield family, SimilarityMatrix(v)
+        if n < 2:
+            continue
+        i, j = rng.choice(n, size=2, replace=False)
+        others = np.setdiff1d(v[off], v[i, j])
+        moves = {"ulp-up": np.nextafter(v[i, j], np.inf), "ulp-down": np.nextafter(v[i, j], -np.inf)}
+        if others.size:
+            moves["other-level"] = rng.choice(others)
+        for family, value in moves.items():
+            u = v.copy()
+            u[i, j] = u[j, i] = value
+            yield family, SimilarityMatrix(u)
+
+
+def test_ultrametric_matches_cubic_form_on_perturbed_ultrametrics():
+    verdicts = Counter()
+    for family, z in _perturbed_ultrametrics(np.random.default_rng(233), 600):
+        verdict = is_ultrametric(z)
+        assert verdict == _ultrametric_cubic(z), family
+        verdicts[family, verdict] += 1
+    for family in ("ulp-up", "ulp-down", "other-level"):
+        assert verdicts[family, True] > 0 and verdicts[family, False] > 0, family
+    for verdict in (True, False):
+        assert sum(c for (_, v), c in verdicts.items() if v == verdict) >= 100
+
+
+@st.composite
+def three_level_matrices(draw):
+    """A symmetric matrix of up to 7 species with unit diagonal and every
+    off-diagonal entry from a 3-value set."""
+    n = draw(st.integers(1, 7))
+    pairs = n * (n - 1) // 2
+    upper = np.zeros((n, n))
+    upper[np.triu_indices(n, 1)] = draw(st.lists(st.sampled_from((0.25, 0.5, 0.75)), min_size=pairs, max_size=pairs))
+    return SimilarityMatrix(np.eye(n) + upper + upper.T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=three_level_matrices())
+def test_ultrametric_matches_cubic_form_on_three_levels(z):
+    assert is_ultrametric(z) == _ultrametric_cubic(z)
 
 
 def test_ultrametric_memory_is_quadratic():

@@ -347,7 +347,9 @@ def test_kernel_benchmark_script_runs():
     )
     assert res.returncode == 0, res.stderr
     rows = [line for line in res.stdout.splitlines() if line.endswith("ms")]
-    assert len(rows) == 3
+    assert len(rows) == 6
     assert rows[0].startswith("subset scan n=4 ")
     assert rows[1].startswith("lattice sweep n=3 m=5 ")
     assert rows[2].startswith("phase-1 LP (200 duplicated-species weighting spaces")
+    for row, n in zip(rows[3:], (128, 256, 512)):
+        assert row.startswith(f"ultrametric test n={n} (ultrametric input) ")
