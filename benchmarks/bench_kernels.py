@@ -8,7 +8,9 @@ Run from the root of a checkout:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--scan-sizes 8,10,12] [--grid-sizes 3,4,5] [--resolution 40]
 
-Each row is the best of three timed calls after one warm-up call.  The LP
+Each row is the best of three timed calls after one warm-up call.  A scan
+row also counts the subsets the scan classified, that is eliminated rather
+than skipped as ``DOMINATED`` by their column-sum bound.  The LP
 row is the total time of ``find_nonnegative_weighting`` over a fixed corpus
 (set by ``--seed`` alone) of duplicated-species weighting spaces on which
 the LP runs: full sets and random subsets, each as solved and shifted by
@@ -26,7 +28,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from maxdiv.kernels import grid_best, scan_subsets
+from maxdiv.kernels import DOMINATED, grid_best, scan_subsets
 from maxdiv.linalg import (
     POSITIVITY_EPS,
     SOLVE_TOL,
@@ -63,7 +65,9 @@ def bench_scan(rng, sizes):
     rows = []
     for n in sizes:
         z = random_similarity(rng, n)
-        rows.append((f"subset scan n={n} ({2**n - 1} subsets)", time_call(lambda: scan_subsets(z))))
+        classified = int((scan_subsets(z)[0] != DOMINATED).sum())
+        label = f"subset scan n={n} ({2**n - 1} subsets, {classified} classified)"
+        rows.append((label, time_call(lambda: scan_subsets(z))))
     return rows
 
 

@@ -2,9 +2,12 @@
 
 Two operations dominate runtime:
 
-* ``scan_subsets``: sweep all nonempty principal submatrices of a symmetric
-  matrix, solving ``Z_B w = 1`` for each and classifying the outcome.  A
-  subset the scan cannot settle gets one of two codes: ``UNRESOLVED`` when
+* ``scan_subsets``: sweep the nonempty principal submatrices of a
+  symmetric nonnegative matrix, solving ``Z_B w = 1`` for each and
+  classifying the outcome.  A subset whose column sums bound its magnitude
+  below the largest one found so far is ``DOMINATED`` and never
+  eliminated; on dense random matrices that is most of them.  A subset the
+  scan cannot settle gets one of two codes: ``UNRESOLVED`` when
   elimination meets a dead pivot (rank-deficient at ``PIVOT_RTOL``), and
   ``UNRELIABLE`` when it is full rank but its solution fails the residual
   gate.  The maximizer treats them differently: a singular subset can only
@@ -14,12 +17,12 @@ Two operations dominate runtime:
   lattice distribution for several orders in one pass, with ``diversity``'s
   own power mean and one masking of the zero weights per chunk.
 
-Both batch their arithmetic: the scan eliminates every subset of one size
-at once, and the lattice sweep evaluates the compositions of ``m`` in
-chunks.  Both keep the batch on the last, contiguous axis: a chunk of the
-lattice is held species-major, as ``(n, chunk)`` arrays, so the sums over
-species run along whole rows.  The lattice chunks are kept small enough to
-stay in cache (see ``_GRID_CHUNK``).
+Both batch their arithmetic: the scan eliminates the surviving subsets of
+one size at once, and the lattice sweep evaluates the compositions of
+``m`` in chunks.  Both keep the batch on the last, contiguous axis: a chunk
+of the lattice is held species-major, as ``(n, chunk)`` arrays, so the sums
+over species run along whole rows.  The lattice chunks are kept small
+enough to stay in cache (see ``_GRID_CHUNK``).
 """
 
 from __future__ import annotations
@@ -30,13 +33,14 @@ from functools import lru_cache
 import numpy as np
 
 from .diversity import _power_mean_core
-from .linalg import PIVOT_RTOL, SOLVE_TOL
+from .linalg import PIVOT_RTOL, SOLVE_TOL, TIE_RTOL
 
 # Subset classification codes.
 UNIQUE_NONNEG = 0  # unique weighting, entrywise >= -SOLVE_TOL
 UNIQUE_NEG = 1  # unique weighting with a genuinely negative entry
 UNRESOLVED = 2  # rank-deficient: a pivot at or below PIVOT_RTOL
 UNRELIABLE = 3  # full rank, but the solution fails the residual gate
+DOMINATED = 4  # not eliminated: its column-sum bound cannot tie the maximum
 
 
 # ---------------------------------------------------------------------------
@@ -69,63 +73,103 @@ def _subset_groups(n, block=65536):
             yield group, members
 
 
+def _classify_group(z: np.ndarray, idx: np.ndarray):
+    """Classify the subsets of one size k whose members are ``idx``
+    (shape ``(k, nb)``, batch last, as from :func:`_subset_groups`).
+
+    Returns ``(status, magnitudes)``, one entry per column of ``idx``: one
+    of ``UNIQUE_NONNEG``, ``UNIQUE_NEG``, ``UNRESOLVED`` (a dead pivot) and
+    ``UNRELIABLE`` (full rank, failed residual), with NaN magnitudes for the
+    last two.
+    """
+    # One partial-pivot elimination per subset, run on all of them at once.
+    # The group is gathered as a[row, col, batch], so the pivot search, the
+    # row swap, the update and the back-substitution all run along the
+    # contiguous batch axis.  Swaps and updates touch only the trailing
+    # block (columns col..k): columns left of col are never read again, and
+    # every value in the block goes through the same operations as in a
+    # full-row elimination, so pivots, dead flags and w come out unchanged.
+    # Dead pivots give UNRESOLVED and bad residuals UNRELIABLE, which the
+    # caller settles without a row reduction per subset.
+    n = z.shape[0]
+    k, nb = idx.shape
+    sub = z.take(idx[:, None, :] * n + idx[None, :, :])
+    a = np.empty((k, k + 1, nb))
+    a[:, :k] = sub
+    a[:, k] = 1.0
+    thresh = PIVOT_RTOL * np.abs(sub).max(axis=(0, 1))
+    dead = np.zeros(nb, dtype=bool)
+    for col in range(k):
+        piv = np.abs(a[col:, col]).argmax(axis=0)
+        swap = np.flatnonzero(piv)
+        rows = piv[swap] + col
+        prow = a[rows, col:, swap]
+        a[rows, col:, swap] = a[col, col:, swap]
+        a[col, col:, swap] = prow
+        pv = a[col, col]
+        dead |= np.abs(pv) <= thresh
+        factors = a[col + 1 :, col] / np.where(dead, 1.0, pv)
+        a[col + 1 :, col + 1 :] -= factors[:, None, :] * a[col, col + 1 :]
+    w = np.empty((k, nb))
+    for r in range(k - 1, -1, -1):
+        acc = a[r, k] - (a[r, r + 1 : k] * w[r + 1 :]).sum(axis=0)
+        w[r] = acc / np.where(dead, 1.0, a[r, r])
+    resid = np.abs((sub * w).sum(axis=1) - 1.0).max(axis=0)
+    bad = dead | ~np.isfinite(resid) | (resid > SOLVE_TOL)
+    status = np.select(
+        [dead, bad, w.min(axis=0) >= -SOLVE_TOL],
+        [UNRESOLVED, UNRELIABLE, UNIQUE_NONNEG],
+        UNIQUE_NEG,
+    )
+    return status, np.where(bad, np.nan, w.sum(axis=0))
+
+
 def scan_subsets(z: np.ndarray):
-    """Classify every nonempty principal submatrix of ``z``.
+    """Classify every nonempty principal submatrix of ``z`` that can tie the
+    largest magnitude; ``z`` must be nonnegative, as a similarity matrix is.
 
     Returns ``(status, magnitudes)`` indexed by ``mask - 1`` where bit ``i``
     of ``mask`` selects row/column ``i``.  Status is one of
-    ``UNIQUE_NONNEG``, ``UNIQUE_NEG``, ``UNRESOLVED`` (a dead pivot) and
-    ``UNRELIABLE`` (full rank, failed residual); magnitudes are NaN for the
-    last two.
+    ``UNIQUE_NONNEG``, ``UNIQUE_NEG``, ``UNRESOLVED`` (a dead pivot),
+    ``UNRELIABLE`` (full rank, failed residual) and ``DOMINATED`` (skipped,
+    see below); magnitudes are NaN for the last three.
+
+    Subsets are visited in ascending size within each block of masks, and
+    ``best`` is the largest ``UNIQUE_NONNEG`` magnitude so far.  Before a
+    group of size k is eliminated, each subset B gets the bound ``(k(1 +
+    SOLVE_TOL) + SOLVE_TOL·Σc) / min c`` from its column sums c_j =
+    Σ_{i∈B} Z_ij, and is ``DOMINATED`` when the bound is below ``best -
+    TIE_RTOL·max(1, best)``, the lowest threshold a tie can have.  No
+    winner is lost.  Let w be any weighting of B that the maximizer can
+    accept: residual |Z_B w - 1| <= SOLVE_TOL and entries >= -SOLVE_TOL,
+    whether the scan or a row reduction found it, or it is a tying
+    subset's w_T that the tight-row closure extends by zero.  As Z >= 0,
+    Σ_j c_j w_j = 1ᵀ Z_B w <= k(1 + SOLVE_TOL), and with w⁺ = max(w, 0),
+    min c · 1ᵀw⁺ <= Σ_j c_j w⁺_j <= Σ_j c_j w_j + SOLVE_TOL·Σc.  So 1ᵀw <=
+    1ᵀw⁺ is at most the bound: a dominated subset can neither tie nor win
+    as a singular superset of a tying one.
     """
-    # One partial-pivot elimination per subset, run on all subsets of one
-    # size at once.  Each group is gathered as a[row, col, batch], so the
-    # pivot search, the row swap, the update and the back-substitution all
-    # run along the contiguous batch axis.  Swaps and updates touch only the
-    # trailing block (columns col..k): columns left of col are never read
-    # again, and every value in the block goes through the same operations
-    # as in a full-row elimination, so pivots, dead flags and w come out
-    # unchanged.  Dead pivots give UNRESOLVED and bad residuals UNRELIABLE,
-    # which the caller settles without a row reduction per subset.
     z = np.ascontiguousarray(z, dtype=np.float64)
     n = z.shape[0]
     total = (1 << n) - 1
-    status = np.empty(total, np.int8)
+    status = np.full(total, DOMINATED, np.int8)
     mags = np.full(total, np.nan)
-    # z with a column of ones: one gather from it yields [Z_B | 1]
-    z1 = np.hstack([z, np.ones((n, 1))]).ravel()
+    best = -np.inf
+    shifts = np.arange(n, dtype=np.int64)[:, None]
     for masks, idx in _subset_groups(n):
-        k, nb = idx.shape
-        cols = np.vstack([idx, np.full((1, nb), n)])
-        aug = z1.take((idx * (n + 1))[:, None, :] + cols[None, :, :])
-        sub = aug[:, :k]
-        a = aug.copy()
-        thresh = PIVOT_RTOL * np.abs(sub).max(axis=(0, 1))
-        dead = np.zeros(nb, dtype=bool)
-        for col in range(k):
-            piv = np.abs(a[col:, col]).argmax(axis=0)
-            swap = np.flatnonzero(piv)
-            rows = piv[swap] + col
-            prow = a[rows, col:, swap]
-            a[rows, col:, swap] = a[col, col:, swap]
-            a[col, col:, swap] = prow
-            pv = a[col, col]
-            dead |= np.abs(pv) <= thresh
-            factors = a[col + 1 :, col] / np.where(dead, 1.0, pv)
-            a[col + 1 :, col + 1 :] -= factors[:, None, :] * a[col, col + 1 :]
-        w = np.empty((k, nb))
-        for r in range(k - 1, -1, -1):
-            acc = a[r, k] - (a[r, r + 1 : k] * w[r + 1 :]).sum(axis=0)
-            w[r] = acc / np.where(dead, 1.0, a[r, r])
-        resid = np.abs((sub * w).sum(axis=1) - 1.0).max(axis=0)
-        bad = dead | ~np.isfinite(resid) | (resid > SOLVE_TOL)
-        st = np.select(
-            [dead, bad, w.min(axis=0) >= -SOLVE_TOL],
-            [UNRESOLVED, UNRELIABLE, UNIQUE_NONNEG],
-            UNIQUE_NEG,
-        )
+        k = idx.shape[0]
+        # column sums over each subset: one product with the membership bits
+        colsums = np.take_along_axis(z.T @ ((masks >> shifts) & 1).astype(np.float64), idx, axis=0)
+        with np.errstate(divide="ignore"):
+            bound = (k * (1.0 + SOLVE_TOL) + SOLVE_TOL * colsums.sum(axis=0)) / colsums.min(axis=0)
+        keep = ~(bound < best - TIE_RTOL * max(1.0, best))
+        if not keep.any():
+            continue
+        masks, idx = masks[keep], idx[:, keep]
+        st, mg = _classify_group(z, idx)
         status[masks - 1] = st
-        mags[masks - 1] = np.where(bad, np.nan, w.sum(axis=0))
+        mags[masks - 1] = mg
+        best = max(best, mg[st == UNIQUE_NONNEG].max(initial=-np.inf))
     return status, mags
 
 

@@ -25,6 +25,8 @@ from .errors import InputError, NumericalError, PreconditionError
 # Residual tolerance for weighting solves; matrices in scope have entries of
 # order one, so this is comfortably above double-precision elimination error.
 SOLVE_TOL = 1e-9
+# Winning subsets are all those within this relative slack of the top magnitude.
+TIE_RTOL = 1e-9
 # Declared numerical rank: pivots at or below PIVOT_RTOL times the largest
 # initial entry count as zero.
 PIVOT_RTOL = 1e-10

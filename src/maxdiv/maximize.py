@@ -4,10 +4,12 @@ Dmax is the same for every order q (the paper's main theorem), so the
 maximizers are the global minimizers of pᵀZp = 1/D_2(p) on the simplex
 (Bomze 1998): there (Zp)_j ≥ 1/Dmax for every j, with equality on the
 support, and Dmax is the largest magnitude of a subset whose submatrix has
-a nonnegative weighting.  The exhaustive route scans every subset in one
-batched elimination, which fixes the maximum over the nonsingular subsets,
-and settles every singular one by a tight-row closure of the tying ones
-(see :func:`maximize_exhaustive`), with no row reduction or LP per subset.
+a nonnegative weighting.  The exhaustive route scans the subsets in one
+batched elimination, which skips each subset whose column sums bound its
+magnitude below the running maximum and fixes the maximum over the
+nonsingular subsets.  It settles every singular one by a tight-row closure
+of the tying ones (see :func:`maximize_exhaustive`), with no row reduction
+or LP per subset.
 When Z is positive semidefinite and the full set has a nonnegative
 weighting, its weighting space generates every maximizing distribution, so
 :func:`maximize_fast_path` answers from the spectrum and one solve of
@@ -24,9 +26,10 @@ import numpy as np
 
 from .diversity import Distribution, _support_ordinariness
 from .errors import InputError, PreconditionError
-from .kernels import UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, scan_subsets
+from .kernels import DOMINATED, UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, scan_subsets
 from .linalg import (
     SOLVE_TOL,
+    TIE_RTOL,
     SimilarityMatrix,
     WeightingSolution,
     _check_subset,
@@ -42,8 +45,6 @@ from .linalg import (
 
 # Largest n the exhaustive sweep accepts: it enumerates 2^n - 1 subsets.
 SUBSET_CAP = 30
-# Winning subsets are all those within this relative slack of the top magnitude.
-TIE_RTOL = 1e-9
 # Relative spread of Zp over the support below which a distribution counts as
 # having a constant diversity profile.
 INVARIANT_RTOL = 1e-9
@@ -175,13 +176,15 @@ def maximize_exhaustive(z: SimilarityMatrix) -> MaximizationResult:
     Reports, in increasing cardinality (lexicographic within), every subset
     whose submatrix has a nonnegative weighting with magnitude tying for the
     maximum.  Matrices larger than ``SUBSET_CAP`` are refused before any
-    work starts.  The batched scan settles the nonsingular subsets.  An
-    ``UNRELIABLE`` one (full rank, failed residual) is solved before
-    the maximum is taken; if it proves rank-deficient it joins the
-    ``UNRESOLVED`` (singular) subsets.  Each tying nonsingular T is solved
-    once and its tight rows marked: j ∉ T with |Z_{jT} w_T - 1| <=
-    ``SOLVE_TOL``.  Every singular B with T ⊆ B ⊆ T ∪ tight(T) wins, and w_T
-    extended by zero weights it.
+    work starts.  The batched scan skips every subset whose column-sum bound
+    proves that it cannot tie (``DOMINATED``; the proof is in
+    :func:`~maxdiv.kernels.scan_subsets`) and settles the nonsingular
+    subsets among the rest.  An ``UNRELIABLE`` one (full rank, failed
+    residual) is solved before the maximum is taken; if it proves
+    rank-deficient it joins the ``UNRESOLVED`` (singular) subsets.  Each
+    tying nonsingular T is solved once and its tight rows marked: j ∉ T with
+    |Z_{jT} w_T - 1| <= ``SOLVE_TOL``.  Every singular B with T ⊆ B ⊆ T ∪
+    tight(T) wins, and w_T extended by zero weights it.
 
     No winner is missed.  Take a winner B; the maximizers p supported in B
     with Z_B p = (1/Dmax)·1 form a polytope.  Let p* be a vertex, with
@@ -203,6 +206,12 @@ def _sweep(z: SimilarityMatrix, full_support) -> MaximizationResult:
         diag = full_support_diagnostics(z)
         full_support = (diag.exists_full_support_maximizer, diag.all_maximizers_full_support)
     status, mags = scan_subsets(z.values)
+    import logging  # here, not at the top: only the sweep logs, and the import costs ~5 ms
+
+    logging.getLogger("maxdiv").debug(
+        "subset scan n=%d: %d unique_nonneg, %d unique_neg, %d unresolved, %d unreliable, %d dominated",
+        z.n, *np.bincount(status, minlength=DOMINATED + 1).tolist(),
+    )
 
     # magnitudes of feasible nonsingular subsets, indexed by mask - 1 (NaN elsewhere)
     mags = np.where(status == UNIQUE_NONNEG, mags, np.nan)

@@ -13,7 +13,7 @@ from maxdiv import (
     normalize_weighting,
     solve_weighting_space,
 )
-from maxdiv.kernels import UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, scan_subsets
+from maxdiv.kernels import UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, _classify_group, _subset_groups
 from maxdiv.maximize import TIE_RTOL, FeasibleSubset, _certify_uniqueness
 
 # Three-species community (one newt, two similar frogs).  The unique
@@ -153,11 +153,24 @@ def mask_indices(mask, n):
     return tuple(i for i in range(n) if (mask >> i) & 1)
 
 
+def scan_every_subset(z):
+    """``scan_subsets`` without its column-sum bound: every mask is
+    eliminated and classified, so no status is ``DOMINATED``."""
+    z = np.ascontiguousarray(z, dtype=np.float64)
+    total = (1 << z.shape[0]) - 1
+    status = np.empty(total, np.int8)
+    mags = np.empty(total)
+    for masks, members in _subset_groups(z.shape[0]):
+        status[masks - 1], mags[masks - 1] = _classify_group(z, members)
+    return status, mags
+
+
 def unpruned_reference(z):
-    """The subset sweep with every mask the scan leaves unsettled
+    """The subset sweep with no column-sum bound, every mask classified by
+    :func:`scan_every_subset`, and every mask it leaves unsettled
     (UNRESOLVED or UNRELIABLE) sent through the row reduction and the
     phase-1 LP: ``(dmax, winners, unique, sample maximizer)``."""
-    status, mags = scan_subsets(z.values)
+    status, mags = scan_every_subset(z.values)
     mags = np.where(status == UNIQUE_NONNEG, mags, np.nan)
     for mask in np.flatnonzero((status == UNRESOLVED) | (status == UNRELIABLE)) + 1:
         ws = solve_weighting_space(z, mask_indices(int(mask), z.n))

@@ -18,11 +18,16 @@ from maxdiv.kernels import (
     _subset_groups,
     compositions,
     grid_best,
-    scan_subsets,
 )
 from maxdiv.linalg import PIVOT_RTOL, SOLVE_TOL
 
-from helpers import path_adjacency, random_duplicated_psd, random_graph, random_symmetric
+from helpers import (
+    path_adjacency,
+    random_duplicated_psd,
+    random_graph,
+    random_symmetric,
+    scan_every_subset,
+)
 
 
 def _scan_cases():
@@ -45,7 +50,7 @@ def test_numpy_scan_matches_scalar_loop():
     assert len(cases) >= 120
     seen = set()
     for z in cases:
-        status, mags = scan_subsets(z)
+        status, mags = scan_every_subset(z)
         ref_status, ref_mags = _scan_subsets_loop(z, SOLVE_TOL, PIVOT_RTOL)
         assert np.array_equal(status, ref_status)
         assert np.array_equal(np.isnan(mags), np.isnan(ref_mags))

@@ -1,4 +1,5 @@
 import importlib
+import logging
 import math
 
 import numpy as np
@@ -23,8 +24,9 @@ from maxdiv import (
     solve_weighting_space,
     uniform,
 )
-from maxdiv.kernels import UNIQUE_NEG, UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, scan_subsets
-from maxdiv.maximize import SUBSET_CAP
+from maxdiv.kernels import DOMINATED, UNIQUE_NEG, UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, scan_subsets
+from maxdiv.linalg import SOLVE_TOL
+from maxdiv.maximize import SUBSET_CAP, TIE_RTOL
 
 from helpers import (
     ALL_ONES_2,
@@ -37,9 +39,11 @@ from helpers import (
     path_adjacency,
     random_duplicated_psd,
     random_graph,
+    random_psd,
     random_sdd,
     random_symmetric,
     random_ultrametric,
+    scan_every_subset,
     unpruned_reference,
 )
 
@@ -197,7 +201,7 @@ class TestScanBackends:
         for trial in range(12):
             n = int(rng.integers(2, 6))
             z = random_symmetric(rng, n) if trial % 2 else random_duplicated_psd(rng, n)
-            status, mags = scan_subsets(z.values)
+            status, mags = scan_every_subset(z.values)
             assert status.shape == (2**n - 1,)
             for mask in range(1, 2**n):
                 idx = tuple(i for i in range(n) if (mask >> i) & 1)
@@ -217,8 +221,14 @@ class TestScanBackends:
         # the last pivot, 3e-9, clears the pivot threshold, but the weighting
         # has entries near 3e7 and its residual (2.5e-9) misses SOLVE_TOL
         z = np.array([[1.0, 0.9], [0.9, 0.81 + 3e-9]])
-        status, mags = scan_subsets(z)
+        status, mags = scan_every_subset(z)
         assert status.tolist() == [UNIQUE_NONNEG, UNIQUE_NONNEG, UNRELIABLE]
+        assert np.isnan(mags[2])
+        # the pair's column sums are 1.9 and 1.71, so its bound, about
+        # 2/1.71 = 1.17, is below the second singleton's 1/0.81 = 1.23 and
+        # the scan never eliminates it
+        status, mags = scan_subsets(z)
+        assert status.tolist() == [UNIQUE_NONNEG, UNIQUE_NONNEG, DOMINATED]
         assert np.isnan(mags[2])
 
     def test_unresolved_is_exactly_singular_on_graphs(self):
@@ -228,7 +238,7 @@ class TestScanBackends:
         graphs += [adjacency_matrix(random_graph(rng, int(rng.integers(3, 9)))) for _ in range(12)]
         for z in graphs:
             n = z.n
-            status, _ = scan_subsets(z.values)
+            status, _ = scan_every_subset(z.values)
             singular = sum(
                 abs(np.linalg.det(z.sub(idx))) < 0.5
                 for idx in (mask_indices(mask, n) for mask in range(1, 2**n))
@@ -432,6 +442,105 @@ class TestPrunedSweep:
         assert r.sample_maximizer.probs == pytest.approx([0.5, 0.0, 0.5], abs=1e-15)
         assert r.unique is False
         assert_same_result(r, *unpruned_reference(z))
+
+
+def _check_column_sum_bound(z):
+    """The pruned scan of ``z`` against the full classification: the same
+    status on every mask it eliminates, no ``DOMINATED`` mask with a
+    nonnegative weighting reaching the tie threshold, and no winner of the
+    unpruned reference (singular ones included) ``DOMINATED``.  Returns the
+    number of masks eliminated."""
+    status, mags = scan_subsets(z.values)
+    full_status, full_mags = scan_every_subset(z.values)
+    kept = status != DOMINATED
+    assert np.array_equal(status[kept], full_status[kept])
+    # numpy sums a group of one subset pairwise and a larger group row by
+    # row, so a magnitude can move by an ulp when pruning changes its group
+    assert np.array_equal(np.isnan(mags[kept]), np.isnan(full_mags[kept]))
+    np.testing.assert_allclose(mags[kept], full_mags[kept], rtol=1e-12, atol=0.0)
+    dmax, winners, _, _ = unpruned_reference(z)
+    feasible = (status == DOMINATED) & (full_status == UNIQUE_NONNEG)
+    assert np.all(full_mags[feasible] < dmax - TIE_RTOL * max(1.0, dmax))
+    for fs in winners:
+        assert status[sum(1 << i for i in fs.indices) - 1] != DOMINATED, fs.indices
+    return int(kept.sum())
+
+
+class TestColumnSumBound:
+    def test_dominated_masks_cannot_tie_on_helper_families(self):
+        rng = np.random.default_rng(211)
+        makers = [
+            lambda n: adjacency_matrix(random_graph(rng, n, rng.uniform(0.2, 0.8))),
+            lambda n: random_symmetric(rng, n),
+            lambda n: random_duplicated_psd(rng, n),
+            lambda n: random_psd(rng, n),
+            lambda n: random_sdd(rng, n),
+            lambda n: random_ultrametric(rng, n),
+        ]
+        cases = [path_adjacency(n) for n in range(2, 9)] + [_cycle_adjacency(n) for n in range(3, 9)]
+        cases += [make(int(rng.integers(2, 9))) for _ in range(40) for make in makers]
+        dominated = sum(2**z.n - 1 - _check_column_sum_bound(z) for z in cases)
+        assert dominated > 0
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_dominated_masks_cannot_tie_on_dense_matrices(self, n):
+        rng = np.random.default_rng(223 + n)
+        for _ in range(3):
+            _check_column_sum_bound(random_symmetric(rng, n))
+
+    @pytest.mark.parametrize("c", [0.1, 0.3, 0.7])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
+    def test_all_ones_multiples_keep_every_tie(self, c, k):
+        # every subset of c·J_k has magnitude 1/c, so all 2^k - 1 win: the
+        # singletons tie and every larger subset is a singular superset
+        z = SimilarityMatrix(np.full((k, k), c))
+        assert _check_column_sum_bound(z) == 2**k - 1
+        r = maximize_exhaustive(z)
+        assert len(r.winners) == 2**k - 1
+        assert_same_result(r, *unpruned_reference(z))
+
+    @pytest.mark.parametrize("between", [0.0, 0.2])
+    def test_duplicated_blocks_of_ones_keep_every_tie(self, between):
+        # species 0-1, 2-4 and 5 are copies: a winner takes a nonempty part
+        # of each block, (2^2 - 1)(2^3 - 1)(2^1 - 1) = 21 in all
+        base = np.full((3, 3), between) + (1.0 - between) * np.eye(3)
+        z = _duplicated(base, [0, 0, 1, 1, 1, 2])
+        _check_column_sum_bound(z)
+        r = maximize_exhaustive(z)
+        assert len(r.winners) == 21
+        assert_same_result(r, *unpruned_reference(z))
+
+    @pytest.mark.parametrize("gap, dominated", [(0.5, False), (1.5, True)])
+    def test_skip_rule_is_the_tie_threshold(self, gap, dominated):
+        # the singletons set best = 1/0.5 = 2; the pair {1, 2} has equal
+        # column sums s, so its bound is 2(1 + SOLVE_TOL)/s + 2·SOLVE_TOL.
+        # s puts that bound gap·TIE_RTOL·best below best: inside the tie
+        # slack the pair is eliminated, past it the pair is DOMINATED
+        s = (1.0 + SOLVE_TOL) / (1.0 - (gap + 1.0) * TIE_RTOL)
+        values = np.zeros((3, 3))
+        values[0, 0] = 0.5
+        values[1:, 1:] = [[0.6, s - 0.6], [s - 0.6, 0.6]]
+        status, _ = scan_subsets(values)
+        assert bool(status[0b110 - 1] == DOMINATED) is dominated
+        assert DOMINATED not in status[[0b001 - 1, 0b010 - 1, 0b100 - 1, 0b011 - 1, 0b101 - 1]]
+
+    def test_most_masks_are_dominated_on_a_dense_matrix(self):
+        z = random_symmetric(np.random.default_rng(227), 12)
+        assert _check_column_sum_bound(z) < 0.3 * (2**12 - 1)
+
+    def test_sweep_logs_scan_status_counts(self, caplog, capsys):
+        logger = logging.getLogger("maxdiv")
+        handlers = list(logger.handlers)
+        z = SimilarityMatrix(np.array([[1.0, 0.9], [0.9, 0.81 + 3e-9]]))
+        with caplog.at_level(logging.DEBUG, logger="maxdiv"):
+            maximize_exhaustive(z)
+            maximize_exhaustive(path_adjacency(5))
+        assert [r.getMessage() for r in caplog.records if r.name == "maxdiv"] == [
+            "subset scan n=2: 2 unique_nonneg, 0 unique_neg, 0 unresolved, 0 unreliable, 1 dominated",
+            "subset scan n=5: 14 unique_nonneg, 0 unique_neg, 10 unresolved, 0 unreliable, 7 dominated",
+        ]
+        assert logger.handlers == handlers
+        assert capsys.readouterr() == ("", "")
 
 
 class TestFastPath:

@@ -7,8 +7,10 @@ the maximizer meets the paper's theorems: its sample maximizer has a flat
 profile at Dmax, no lattice point beats Dmax, and a graph's Dmax is its
 independence number."""
 
+import importlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -36,6 +38,7 @@ from helpers import (
     random_sdd,
     random_symmetric,
     random_ultrametric,
+    scan_every_subset,
     unpruned_reference,
 )
 
@@ -140,6 +143,47 @@ def family_matrices(draw, families=tuple(MATRIX_FAMILIES), max_n=8):
 @given(z=family_matrices(SWEEP_FAMILIES))
 def test_pruned_and_unpruned_winners_are_identical(z):
     assert_same_result(maximize_exhaustive(z), *unpruned_reference(z))
+
+
+@st.composite
+def few_level_matrices(draw):
+    """c·L for a symmetric L with entries in {0, 1/2, 1} (diagonal in {1/2,
+    1}) and c in {0.1, 0.3, 0.7, 1}: equal column sums and exact ties are
+    common, so many subsets' column-sum bounds meet the maximum."""
+    n = draw(st.integers(2, 8))
+    levels = st.sampled_from((0.0, 0.5, 1.0))
+    upper = draw(st.lists(levels, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    diag = draw(st.lists(st.sampled_from((0.5, 1.0)), min_size=n, max_size=n))
+    values = np.diag(diag)
+    values[np.triu_indices(n, 1)] = upper
+    values = np.maximum(values, values.T)
+    return SimilarityMatrix(draw(st.sampled_from((0.1, 0.3, 0.7, 1.0))) * values)
+
+
+def _same_sweep(r, s):
+    assert (r.dmax, r.unique, r.method) == (s.dmax, s.unique, s.method)
+    assert np.array_equal(r.sample_maximizer.probs, s.sample_maximizer.probs)
+    assert len(r.winners) == len(s.winners)
+    for a, b in zip(r.winners, s.winners):
+        assert (a.indices, a.magnitude) == (b.indices, b.magnitude)
+        assert np.array_equal(a.weighting_space.nonnegative, b.weighting_space.nonnegative)
+
+
+@settings(max_examples=150, deadline=None)
+@given(z=few_level_matrices())
+@example(z=SimilarityMatrix(np.full((4, 4), 0.3)))
+def test_column_sum_pruning_keeps_ties_on_few_levels(z):
+    # the sweep answers exactly as it does on the full classification; the
+    # reference agrees up to its sample maximizer, which it takes from a
+    # singular smallest winner's own solve instead of the zero-extended w_T
+    pruned = maximize_exhaustive(z)
+    with mock.patch.object(importlib.import_module("maxdiv.maximize"), "scan_subsets", scan_every_subset):
+        _same_sweep(pruned, maximize_exhaustive(z))
+    dmax, winners, unique, sample = unpruned_reference(z)
+    assert (pruned.dmax, [fs.indices for fs in pruned.winners], pruned.unique) == (
+        dmax, [fs.indices for fs in winners], unique
+    )
+    assert np.abs(pruned.sample_maximizer.probs - sample.probs).max() <= 1e-9
 
 
 # perfbench's check_winners tolerance
