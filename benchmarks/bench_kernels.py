@@ -10,8 +10,12 @@ Run from the root of a checkout:
 
 Each row is the best of three timed calls after one warm-up call.  A scan
 row also counts the subsets the scan classified, that is eliminated rather
-than skipped as ``DOMINATED`` by their column-sum bound.  The LP
-row is the total time of ``find_nonnegative_weighting`` over a fixed corpus
+than skipped as ``DOMINATED`` by their column-sum bound, and adds a second
+time: one cold call, made after emptying the cache of the scan's subset
+tables (masks, member tables, membership bits), so that it builds them as
+the first scan at each n does.  Above n=16 the tables are not cached and
+every call is cold.  The LP row is the total time of
+``find_nonnegative_weighting`` over a fixed corpus
 (set by ``--seed`` alone) of duplicated-species weighting spaces on which
 the LP runs: full sets and random subsets, each as solved and shifted by
 ``-POSITIVITY_EPS`` as the positive-weighting search shifts it.  No
@@ -28,7 +32,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from maxdiv.kernels import DOMINATED, grid_best, scan_subsets
+from maxdiv.kernels import DOMINATED, _cached_subset_groups, grid_best, scan_subsets
 from maxdiv.linalg import (
     POSITIVITY_EPS,
     SOLVE_TOL,
@@ -61,13 +65,22 @@ def time_call(fn, repeats=3):
     return best
 
 
+def cold_call(fn):
+    """One call of ``fn`` with the scan's subset tables uncached."""
+    _cached_subset_groups.cache_clear()
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
 def bench_scan(rng, sizes):
     rows = []
     for n in sizes:
         z = random_similarity(rng, n)
         classified = int((scan_subsets(z)[0] != DOMINATED).sum())
         label = f"subset scan n={n} ({2**n - 1} subsets, {classified} classified)"
-        rows.append((label, time_call(lambda: scan_subsets(z))))
+        warm = time_call(lambda: scan_subsets(z))
+        rows.append((label, warm, cold_call(lambda: scan_subsets(z))))
     return rows
 
 
@@ -76,7 +89,7 @@ def bench_grid(rng, sizes, resolution):
     for n in sizes:
         z = random_similarity(rng, n)
         label = f"lattice sweep n={n} m={resolution} ({math.comb(resolution + n - 1, n - 1)} points x {len(QS)} orders)"
-        rows.append((label, time_call(lambda: grid_best(z, QS, resolution))))
+        rows.append((label, time_call(lambda: grid_best(z, QS, resolution)), None))
     return rows
 
 
@@ -106,7 +119,7 @@ def bench_lp(rng):
                     spaces.append(space)
     spaces = spaces[:LP_SPACES]
     label = f"phase-1 LP ({LP_SPACES} duplicated-species weighting spaces, n=6-10)"
-    return [(label, time_call(lambda: [find_nonnegative_weighting(ws) for ws in spaces]))]
+    return [(label, time_call(lambda: [find_nonnegative_weighting(ws) for ws in spaces]), None)]
 
 
 def random_ultrametric(rng, n):
@@ -128,7 +141,7 @@ def bench_ultrametric(rng):
     for n in ULTRAMETRIC_SIZES:
         z = random_ultrametric(rng, n)
         assert is_ultrametric(z)
-        rows.append((f"ultrametric test n={n} (ultrametric input)", time_call(lambda: is_ultrametric(z))))
+        rows.append((f"ultrametric test n={n} (ultrametric input)", time_call(lambda: is_ultrametric(z)), None))
     return rows
 
 
@@ -146,12 +159,13 @@ def main():
     rows += bench_lp(np.random.default_rng(args.seed))
     rows += bench_ultrametric(np.random.default_rng(args.seed))
 
-    width = max(len(label) for label, _ in rows)
-    header = f"{'kernel':<{width}}  {'time':>12}"
+    width = max(len(label) for label, _, _ in rows)
+    header = f"{'kernel':<{width}}  {'best of 3':>12}  {'cold':>12}"
     print(header)
     print("-" * len(header))
-    for label, seconds in rows:
-        print(f"{label:<{width}}  {seconds * 1e3:>10.2f}ms")
+    for label, seconds, cold in rows:
+        cold_ms = "" if cold is None else f"  {cold * 1e3:>10.2f}ms"
+        print(f"{label:<{width}}  {seconds * 1e3:>10.2f}ms{cold_ms}")
 
 
 if __name__ == "__main__":

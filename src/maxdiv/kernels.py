@@ -6,7 +6,10 @@ Two operations dominate runtime:
   symmetric nonnegative matrix, solving ``Z_B w = 1`` for each and
   classifying the outcome.  A subset whose column sums bound its magnitude
   below the largest one found so far is ``DOMINATED`` and never
-  eliminated; on dense random matrices that is most of them.  A subset the
+  eliminated; on dense random matrices that is most of them.  The bound
+  comes from one product of Z with the subsets' membership bits, which
+  depend on n alone and, with the masks and member tables, are built once
+  per n up to ``_CACHED_N`` and then reused.  A subset the
   scan cannot settle gets one of two codes: ``UNRESOLVED`` when
   elimination meets a dead pivot (rank-deficient at ``PIVOT_RTOL``), and
   ``UNRELIABLE`` when it is full rank but its solution fails the residual
@@ -48,12 +51,16 @@ DOMINATED = 4  # not eliminated: its column-sum bound cannot tie the maximum
 # ---------------------------------------------------------------------------
 
 def _subset_groups(n, block=65536):
-    """Yield ``(masks, members)`` for every nonempty subset of ``range(n)``.
+    """Yield ``(masks, members, bits)`` for every nonempty subset of ``range(n)``.
 
     Masks are walked in ascending blocks of ``block`` and each block is split
-    by popcount, so a group holds subsets of one size k: ``masks`` ascends
-    and ``members[j, b]`` is the j-th smallest element of subset ``masks[b]``
-    (shape ``(k, len(masks))``, batch last).  Memory is bounded by the block.
+    by popcount, so a group holds subsets of one size k: ``masks`` ascends,
+    ``members[j, b]`` is the j-th smallest element of subset ``masks[b]``
+    (int8, shape ``(k, len(masks))``, batch last) and ``bits[i, b]`` is 1.0
+    when species i is in it, else 0.0 (shape ``(n, len(masks))``).  A walk
+    holds one block at a time, but :func:`scan_subsets` keeps every group
+    for n up to ``_CACHED_N`` (see :func:`_cached_subset_groups`): there
+    memory is no longer bounded by the block.
     """
     total = (1 << n) - 1
     shifts = np.arange(n, dtype=np.int64)[:, None]
@@ -64,13 +71,33 @@ def _subset_groups(n, block=65536):
             group = masks[sizes == k]
             if group.size == 0:
                 continue
-            members = np.empty((k, group.size), dtype=np.int64)
+            members = np.empty((k, group.size), dtype=np.int8)
             rest = group.copy()
             for j in range(k):
                 low = rest & -rest  # lowest set bit; frexp gives its index exactly
                 members[j] = np.frexp(low)[1] - 1
                 rest ^= low
-            yield group, members
+            yield group, members, ((group >> shifts) & 1).astype(np.float64)
+
+
+# Largest n whose subset groups scan_subsets keeps between calls, for the
+# last four n it met.  The groups depend on n alone and take 8(1 + n) bytes
+# a mask (int64 mask, float64 membership bits) plus one byte a member (int8
+# member table): 0.2 MB at n=11, 2.1 MB at n=14 and 9.4 MB at n=16, over
+# four times more for every two species.  Above the cap every call walks
+# them afresh, one block at a time.
+_CACHED_N = 16
+
+
+@lru_cache(maxsize=4)
+def _cached_subset_groups(n: int) -> tuple:
+    """Every group of :func:`_subset_groups` for ``n <= _CACHED_N``, as
+    read-only arrays."""
+    groups = tuple(_subset_groups(n))
+    for tables in groups:
+        for table in tables:
+            table.setflags(write=False)
+    return groups
 
 
 def _classify_group(z: np.ndarray, idx: np.ndarray):
@@ -93,7 +120,16 @@ def _classify_group(z: np.ndarray, idx: np.ndarray):
     # caller settles without a row reduction per subset.
     n = z.shape[0]
     k, nb = idx.shape
-    sub = z.take(idx[:, None, :] * n + idx[None, :, :])
+    if nb == 1:
+        # numpy sums an (m, nb) array along an axis in index order, one row
+        # at a time, but pairwise once nb = 1 collapses the batch axis.  So
+        # a lone subset is classified as two copies of itself: its three
+        # sums (back-substitution, residual, magnitude) then run in the same
+        # order as in any wider group, and its result depends on it alone.
+        status, mags = _classify_group(z, np.repeat(idx, 2, axis=1))
+        return status[:1], mags[:1]
+    ix = idx.astype(np.intp)  # the member table is int8
+    sub = z.take(ix[:, None, :] * n + ix[None, :, :])
     a = np.empty((k, k + 1, nb))
     a[:, :k] = sub
     a[:, k] = 1.0
@@ -138,16 +174,19 @@ def scan_subsets(z: np.ndarray):
     ``best`` is the largest ``UNIQUE_NONNEG`` magnitude so far.  Before a
     group of size k is eliminated, each subset B gets the bound ``(k(1 +
     SOLVE_TOL) + SOLVE_TOL·Σc) / min c`` from its column sums c_j =
-    Σ_{i∈B} Z_ij, and is ``DOMINATED`` when the bound is below ``best -
-    TIE_RTOL·max(1, best)``, the lowest threshold a tie can have.  No
-    winner is lost.  Let w be any weighting of B that the maximizer can
-    accept: residual |Z_B w - 1| <= SOLVE_TOL and entries >= -SOLVE_TOL,
-    whether the scan or a row reduction found it, or it is a tying
-    subset's w_T that the tight-row closure extends by zero.  As Z >= 0,
-    Σ_j c_j w_j = 1ᵀ Z_B w <= k(1 + SOLVE_TOL), and with w⁺ = max(w, 0),
-    min c · 1ᵀw⁺ <= Σ_j c_j w⁺_j <= Σ_j c_j w_j + SOLVE_TOL·Σc.  So 1ᵀw <=
-    1ᵀw⁺ is at most the bound: a dominated subset can neither tie nor win
-    as a singular superset of a tying one.
+    Σ_{i∈B} Z_ij.  They come from the group's membership bits alone, with
+    no gather through its member table: ``Zᵀ bits`` holds c_j in every row
+    j, Σc is its sum over the member rows and min c its minimum with the
+    other rows masked to infinity.  A subset is ``DOMINATED`` when the
+    bound is below ``best - TIE_RTOL·max(1, best)``, the lowest threshold
+    a tie can have.  No winner is lost.  Let w be any weighting of B that
+    the maximizer can accept: residual |Z_B w - 1| <= SOLVE_TOL and
+    entries >= -SOLVE_TOL, whether the scan or a row reduction found it, or
+    it is a tying subset's w_T that the tight-row closure extends by zero.
+    As Z >= 0, Σ_j c_j w_j = 1ᵀ Z_B w <= k(1 + SOLVE_TOL), and with w⁺ =
+    max(w, 0), min c · 1ᵀw⁺ <= Σ_j c_j w⁺_j <= Σ_j c_j w_j + SOLVE_TOL·Σc.
+    So 1ᵀw <= 1ᵀw⁺ is at most the bound: a dominated subset can neither tie
+    nor win as a singular superset of a tying one.
     """
     z = np.ascontiguousarray(z, dtype=np.float64)
     n = z.shape[0]
@@ -155,13 +194,16 @@ def scan_subsets(z: np.ndarray):
     status = np.full(total, DOMINATED, np.int8)
     mags = np.full(total, np.nan)
     best = -np.inf
-    shifts = np.arange(n, dtype=np.int64)[:, None]
-    for masks, idx in _subset_groups(n):
+    groups = _cached_subset_groups(n) if n <= _CACHED_N else _subset_groups(n)
+    for masks, idx, bits in groups:
         k = idx.shape[0]
-        # column sums over each subset: one product with the membership bits
-        colsums = np.take_along_axis(z.T @ ((masks >> shifts) & 1).astype(np.float64), idx, axis=0)
+        # the column sums: non-members add exact zeros to Σc, in ascending
+        # species order, so it sums the same values in the same order as
+        # over the members alone
+        zb = z.T @ bits
+        total_c = (zb * bits).sum(axis=0)
         with np.errstate(divide="ignore"):
-            bound = (k * (1.0 + SOLVE_TOL) + SOLVE_TOL * colsums.sum(axis=0)) / colsums.min(axis=0)
+            bound = (k * (1.0 + SOLVE_TOL) + SOLVE_TOL * total_c) / np.where(bits == 0, np.inf, zb).min(axis=0)
         keep = ~(bound < best - TIE_RTOL * max(1.0, best))
         if not keep.any():
             continue

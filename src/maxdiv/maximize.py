@@ -15,11 +15,15 @@ weighting, its weighting space generates every maximizing distribution, so
 :func:`maximize_fast_path` answers from the spectrum and one solve of
 ``Z w = 1``: a single LAPACK solve when Z is positive definite, a row
 reduction that also yields the kernel when Z is only semidefinite.
-:func:`maximize` takes that route when it applies.
+:func:`maximize` takes that route when it applies.  Both routes work on Z
+divided by the power of two that brings its largest entry into [1, 2),
+where the solver tolerances are sized, and scale their answer back, so
+scaling Z by 2^k scales every magnitude and weighting by exactly 2^-k.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,9 +58,11 @@ class FeasibleSubset:
     """A subset whose submatrix admits a nonnegative weighting, with its
     magnitude and the full weighting space (affine description plus one
     nonnegative representative).  A winner's representative w solves
-    Z_B w = 1 within 1e-8, has no entry below -1e-8, and sums to ``dmax`` and
-    to ``magnitude`` within 1e-8·dmax (a singular winner's w is a tying
-    subset's weighting extended by zero; its magnitude is its own)."""
+    Z_B w = 1 within 1e-8 and sums to ``dmax`` and to ``magnitude`` within
+    1e-8·dmax (a singular winner's w is a tying subset's weighting extended
+    by zero; its magnitude is its own).  No entry of w is below -1e-8·2^-e,
+    where 2^e is the power of two that brings the largest entry of Z into
+    [1, 2)."""
 
     indices: tuple[int, ...]
     magnitude: float
@@ -117,30 +123,63 @@ def is_invariant(z: SimilarityMatrix, p: Distribution) -> bool:
     return bool(xp.max() - xp.min() <= INVARIANT_RTOL * xp.max())
 
 
-def full_support_diagnostics(z: SimilarityMatrix) -> FullSupportDiagnostics:
-    """Species-preservation report from one ``eigvalsh``.
+def _unit_scale(z: SimilarityMatrix) -> tuple[SimilarityMatrix, int]:
+    """``(Z / 2^e, e)`` with ``e = floor(log2(max Z))``, after refusing an
+    asymmetric Z.
 
-    A full-support maximizer exists exactly when Z is positive semidefinite
-    and admits a positive weighting; every maximizer has full support exactly
-    when Z is positive definite with positive weighting.
+    The solver tolerances (``SOLVE_TOL``, the tie slack ``TIE_RTOL·max(1,
+    ·)``, ``POSITIVITY_EPS`` and the LP's) are absolute and sized for entries
+    of order one, while scaling Z by c scales every weighting and magnitude
+    by 1/c.  So the maximizer works on Z / 2^e, whose largest entry lies in
+    [1, 2), and scales its weightings and magnitudes back by 2^-e.  Powers
+    of two scale exactly: Z and 2^k·Z reach the same scaled matrix, and a
+    matrix whose largest entry already lies in [1, 2) is used as it is.
     """
     _require_symmetric(
         z,
         "maximization, whose supremum for a nonsymmetric matrix can vary with "
         "the order q and need not be attained by any distribution,",
     )
-    psd, pd, low, floor = _spectrum(z)
-    ws = _solve_definite(z) if pd else solve_weighting_space(z) if psd else None
+    e = math.frexp(float(z.values.max()))[1] - 1
+    return (z, 0) if e == 0 else (SimilarityMatrix(np.ldexp(z.values, -e)), e)
+
+
+def _rescaled_space(ws: WeightingSolution | None, e: int) -> WeightingSolution | None:
+    """A weighting space of Z / 2^e as the same space of Z: every weighting
+    and the magnitude times 2^-e, the kernel as it is."""
+    if ws is None or e == 0:
+        return ws
+    return replace(
+        ws,
+        particular=None if ws.particular is None else np.ldexp(ws.particular, -e),
+        nonnegative=None if ws.nonnegative is None else np.ldexp(ws.nonnegative, -e),
+        magnitude=None if ws.magnitude is None else math.ldexp(ws.magnitude, -e),
+    )
+
+
+def full_support_diagnostics(z: SimilarityMatrix) -> FullSupportDiagnostics:
+    """Species-preservation report from one ``eigvalsh``.
+
+    A full-support maximizer exists exactly when Z is positive semidefinite
+    and admits a positive weighting; every maximizer has full support exactly
+    when Z is positive definite with positive weighting.  The verdicts are
+    reached on Z / 2^e (see :func:`_unit_scale`), so they do not change when
+    Z is scaled by a power of two; the eigenvalues and weightings reported
+    are Z's own.
+    """
+    zs, e = _unit_scale(z)
+    psd, pd, low, floor = _spectrum(zs)
+    ws = _solve_definite(zs) if pd else solve_weighting_space(zs) if psd else None
     pos = None if ws is None else _positive_weighting(ws)
     return FullSupportDiagnostics(
         exists_full_support_maximizer=psd and pos is not None,
         all_maximizers_full_support=pd and pos is not None,
         positive_semidefinite=psd,
         positive_definite=pd,
-        min_eigenvalue=low,
-        eigenvalue_floor=floor,
-        positive_weighting=pos,
-        weighting_space=ws,
+        min_eigenvalue=math.ldexp(low, e),
+        eigenvalue_floor=math.ldexp(floor, e),
+        positive_weighting=None if pos is None else np.ldexp(pos, -e),
+        weighting_space=_rescaled_space(ws, e),
     )
 
 
@@ -202,6 +241,7 @@ def _sweep(z: SimilarityMatrix, full_support) -> MaximizationResult:
     ``None`` to analyse Z (which refuses an asymmetric Z)."""
     if z.n > SUBSET_CAP:
         raise PreconditionError(f"matrix size {z.n} exceeds the exhaustive cap {SUBSET_CAP}")
+    z, e = _unit_scale(z)
     if full_support is None:
         diag = full_support_diagnostics(z)
         full_support = (diag.exists_full_support_maximizer, diag.all_maximizers_full_support)
@@ -242,7 +282,19 @@ def _sweep(z: SimilarityMatrix, full_support) -> MaximizationResult:
         ws = ws or _solve(z, mask)
         if ws.particular is not None:  # None only at the edge of SOLVE_TOL
             found.append(FeasibleSubset(ws.subset, float(ws.magnitude), ws.with_nonnegative(w)))
-    return _result(z, tuple(found), full_support, "exhaustive")
+    return _rescaled(_result(z, tuple(found), full_support, "exhaustive"), e)
+
+
+def _rescaled(result: MaximizationResult, e: int) -> MaximizationResult:
+    """A result found on Z / 2^e as the result for Z: ``dmax`` and every
+    winner's magnitude and weightings times 2^-e."""
+    if e == 0:
+        return result
+    winners = tuple(
+        replace(fs, magnitude=math.ldexp(fs.magnitude, -e), weighting_space=_rescaled_space(fs.weighting_space, e))
+        for fs in result.winners
+    )
+    return replace(result, dmax=math.ldexp(result.dmax, -e), winners=winners)
 
 
 def _result(z: SimilarityMatrix, winners, full_support, method: str) -> MaximizationResult:
@@ -271,9 +323,13 @@ def maximize_fast_path(z: SimilarityMatrix) -> MaximizationResult | None:
     proper subsets may tie, but their maximizers already lie in that space.
     Ultrametric and strictly diagonally dominant matrices are positive
     definite, so their class tests only name the route in ``method``, and
-    run only once the route applies.
+    run only once the route applies.  The route works on Z / 2^e (see
+    :func:`_unit_scale`) and scales its answer back, so it is the same for
+    every 2^k·Z up to that factor; only the ``diagonal-dominance`` label,
+    which asks for a unit diagonal, depends on the scale of Z.
     """
-    diag = full_support_diagnostics(z)
+    zs, e = _unit_scale(z)
+    diag = full_support_diagnostics(zs)
     ws = diag.weighting_space
     w = None if ws is None else find_nonnegative_weighting(ws)
     if w is None:
@@ -286,12 +342,12 @@ def maximize_fast_path(z: SimilarityMatrix) -> MaximizationResult | None:
         method = "positive-semidefinite"
     winner = FeasibleSubset(tuple(range(z.n)), float(ws.magnitude), ws.with_nonnegative(w))
     full_support = (diag.exists_full_support_maximizer, diag.all_maximizers_full_support)
-    result = _result(z, (winner,), full_support, method)
+    result = _result(zs, (winner,), full_support, method)
     if not ws.unique and diag.positive_weighting is not None:
         # w ± t·u, for u in the kernel and small t, are two nonnegative
         # weightings with the same sum (1ᵀu = wᵀZu = 0): two maximizers
         result = replace(result, unique=False)
-    return result
+    return _rescaled(result, e)
 
 
 def maximize(z: SimilarityMatrix) -> MaximizationResult:

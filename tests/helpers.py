@@ -160,7 +160,7 @@ def scan_every_subset(z):
     total = (1 << z.shape[0]) - 1
     status = np.empty(total, np.int8)
     mags = np.empty(total)
-    for masks, members in _subset_groups(z.shape[0]):
+    for masks, members, _ in _subset_groups(z.shape[0]):
         status[masks - 1], mags[masks - 1] = _classify_group(z, members)
     return status, mags
 

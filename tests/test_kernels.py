@@ -13,11 +13,15 @@ import maxdiv.kernels as kernels
 from maxdiv import adjacency_matrix
 from maxdiv.diversity import _NORMAL_MIN, _power_mean_core
 from maxdiv.kernels import (
+    DOMINATED,
     UNRELIABLE,
     UNRESOLVED,
+    _cached_subset_groups,
+    _classify_group,
     _subset_groups,
     compositions,
     grid_best,
+    scan_subsets,
 )
 from maxdiv.linalg import PIVOT_RTOL, SOLVE_TOL
 
@@ -63,7 +67,7 @@ def test_numpy_scan_matches_scalar_loop():
 @pytest.mark.parametrize("n, block", [(7, 10), (7, 128), (1, 10), (1, 65536)])
 def test_subset_groups_cover_every_mask_once(n, block):
     seen = []
-    for masks, members in _subset_groups(n, block):
+    for masks, members, _ in _subset_groups(n, block):
         k = members.shape[0]
         assert members.shape == (k, masks.size) and masks.size > 0
         assert np.all(np.diff(masks) > 0)
@@ -72,6 +76,56 @@ def test_subset_groups_cover_every_mask_once(n, block):
             assert row == [i for i in range(n) if (mask >> i) & 1]
         seen.extend(masks.tolist())
     assert sorted(seen) == list(range(1, 2**n))
+
+
+def test_cached_subset_groups_are_read_only():
+    for masks, members, bits in _cached_subset_groups(5):
+        for table in (masks, members, bits):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = table[0]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_cached_subset_groups_match_a_fresh_build(n):
+    cached = _cached_subset_groups(n)
+    fresh = list(_subset_groups(n))
+    assert len(cached) == len(fresh)
+    for got, want in zip(cached, fresh):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    for masks, members, bits in cached:
+        assert bits.shape == (n, masks.size)
+        assert np.array_equal(bits.sum(axis=0), np.full(masks.size, members.shape[0]))
+
+
+def test_scan_above_the_cache_cap_streams():
+    # n=17 walks two blocks of masks; nothing of it stays in the cache
+    z = random_symmetric(np.random.default_rng(171), 17).values
+    _cached_subset_groups.cache_clear()
+    status, mags = scan_subsets(z)
+    assert _cached_subset_groups.cache_info().currsize == 0
+    full_status, full_mags = scan_every_subset(z)
+    kept = status != DOMINATED
+    assert 0 < kept.sum() < 0.3 * status.size
+    assert np.array_equal(status[kept], full_status[kept])
+    assert np.array_equal(mags[kept], full_mags[kept], equal_nan=True)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_lone_subset_classifies_as_in_its_group(seed):
+    # numpy would sum a one-column batch pairwise and a wider one row by
+    # row; k = 8-11 is where the two orders part
+    z = random_symmetric(np.random.default_rng(seed), 12).values
+    for masks, members, _ in _cached_subset_groups(12):
+        if not 8 <= members.shape[0] <= 11:
+            continue
+        group = members[:, :40]
+        status, mags = _classify_group(z, group)
+        for b in range(group.shape[1]):
+            alone_status, alone_mags = _classify_group(z, group[:, b : b + 1])
+            assert alone_status[0] == status[b]
+            assert np.array_equal(alone_mags, mags[b : b + 1], equal_nan=True)
 
 
 def _scan_subsets_loop(z, solve_tol, pivot_rtol):

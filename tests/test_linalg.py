@@ -278,13 +278,11 @@ class TestNonnegativeWeighting:
                 lp_found += 1
                 assert w.min() >= -1e-9
             else:
-                # exhaustive lattice over the kernel coordinates: if any
-                # point is nonnegative the LP answer was wrong
-                import itertools as it
-
-                for combo in it.product(ts, repeat=kn):
-                    cand = x0 + np.array(combo) @ basis
-                    assert cand.min() < -1e-12
+                # exhaustive lattice over the kernel coordinates, all points
+                # at once: if any is nonnegative the LP answer was wrong
+                combos = np.stack(np.meshgrid(*[ts] * kn, indexing="ij"), axis=-1).reshape(-1, kn)
+                cand = x0 + combos @ basis
+                assert (cand.min(axis=1) < -1e-12).all()
                 grid_found += 1
         assert lp_found >= 30 and grid_found >= 20
 

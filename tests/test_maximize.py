@@ -446,7 +446,7 @@ class TestPrunedSweep:
 
 def _check_column_sum_bound(z):
     """The pruned scan of ``z`` against the full classification: the same
-    status on every mask it eliminates, no ``DOMINATED`` mask with a
+    status and magnitude on every mask it eliminates, no ``DOMINATED`` mask with a
     nonnegative weighting reaching the tie threshold, and no winner of the
     unpruned reference (singular ones included) ``DOMINATED``.  Returns the
     number of masks eliminated."""
@@ -454,10 +454,7 @@ def _check_column_sum_bound(z):
     full_status, full_mags = scan_every_subset(z.values)
     kept = status != DOMINATED
     assert np.array_equal(status[kept], full_status[kept])
-    # numpy sums a group of one subset pairwise and a larger group row by
-    # row, so a magnitude can move by an ulp when pruning changes its group
-    assert np.array_equal(np.isnan(mags[kept]), np.isnan(full_mags[kept]))
-    np.testing.assert_allclose(mags[kept], full_mags[kept], rtol=1e-12, atol=0.0)
+    assert np.array_equal(mags[kept], full_mags[kept], equal_nan=True)
     dmax, winners, _, _ = unpruned_reference(z)
     feasible = (status == DOMINATED) & (full_status == UNIQUE_NONNEG)
     assert np.all(full_mags[feasible] < dmax - TIE_RTOL * max(1.0, dmax))
@@ -657,3 +654,52 @@ def _winner_scan_has_full_support(z, result):
             return bool(fs.weighting_space.nonnegative.min() > 0)
         return find_positive_weighting(z, fs.indices) is not None
     return False
+
+
+class TestScaleFree:
+    @pytest.mark.parametrize("seed, c", [(12, 1e6), (75, 100.0)])
+    def test_scaled_dense_matrix_keeps_its_single_winner(self, seed, c):
+        # unscaled, 1e-9 absolute tie slack is 5e-4 relative at dmax ~ 2e-6:
+        # c·Z gained the near-miss winner (0, 1, 3, 5) at seed 12 and (1, 5)
+        # at seed 75, and reported unique=False
+        rng = np.random.default_rng(seed)
+        z = random_symmetric(rng, int(rng.integers(3, 9)))
+        r, rc = maximize(z), maximize(SimilarityMatrix(c * z.values))
+        assert len(r.winners) == 1 and r.unique is True
+        assert [fs.indices for fs in rc.winners] == [fs.indices for fs in r.winners]
+        assert rc.unique is True
+        assert rc.dmax * c == pytest.approx(r.dmax, rel=1e-12)
+
+    def test_scaled_corpus_keeps_unit_scale_answers(self):
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            z = random_symmetric(rng, int(rng.integers(3, 9)))
+            r = maximize(z)
+            for c in (1e-3, 100.0, 1e4, 1e6):
+                rc = maximize(SimilarityMatrix(c * z.values))
+                assert [fs.indices for fs in rc.winners] == [fs.indices for fs in r.winners], (seed, c)
+                assert (rc.unique, rc.full_support_exists, rc.all_maximizers_full_support) == (
+                    r.unique, r.full_support_exists, r.all_maximizers_full_support
+                ), (seed, c)
+                assert rc.dmax * c == pytest.approx(r.dmax, rel=1e-12)
+
+    def test_unit_scale_matrices_are_used_as_they_are(self, monkeypatch):
+        # a largest entry in [1, 2) needs no rescaling, so no copy is made
+        made = []
+        monkeypatch.setattr(
+            importlib.import_module("maxdiv.maximize"), "SimilarityMatrix",
+            lambda values: made.append(values) or SimilarityMatrix(values),
+        )
+        maximize(path_adjacency(4))
+        maximize(SimilarityMatrix(1.9 * np.eye(3)))
+        assert made == []
+        # 2·I is scaled once, by the fast path, which hands I to the diagnostics
+        maximize(SimilarityMatrix(2.0 * np.eye(3)))
+        assert len(made) == 1 and np.array_equal(made[0], np.eye(3))
+
+    def test_diagonal_dominance_label_depends_on_scale(self):
+        z = random_sdd(np.random.default_rng(5), 6)
+        assert maximize(z).method == "diagonal-dominance"
+        r = maximize(SimilarityMatrix(4.0 * z.values))
+        assert r.method == "positive-semidefinite"
+        assert r.dmax == maximize(z).dmax / 4.0

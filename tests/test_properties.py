@@ -22,6 +22,7 @@ from maxdiv import (
     adjacency_matrix,
     diversity,
     diversity_profile,
+    full_support_diagnostics,
     grid_max_multi,
     independence_number,
     maximize,
@@ -201,6 +202,46 @@ def test_every_winner_weighting_solves_its_subset_and_sums_to_dmax(z):
         assert w.min() >= -WINNER_TOL
         assert abs(w.sum() - r.dmax) <= WINNER_TOL * r.dmax
         assert abs(w.sum() - fs.magnitude) <= WINNER_TOL * r.dmax
+
+
+def _scaled_space_matches(ws, ref, f):
+    """``ws`` is ``ref`` with every weighting and the magnitude times ``f``."""
+    assert ws.subset == ref.subset and np.array_equal(ws.nullspace, ref.nullspace)
+    for a, b in ((ws.particular, ref.particular), (ws.nonnegative, ref.nonnegative)):
+        assert (a is None) == (b is None)
+        assert a is None or np.array_equal(a, b * f)
+    assert ws.magnitude == (None if ref.magnitude is None else ref.magnitude * f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(z=family_matrices(), k=st.integers(-40, 40))
+def test_maximize_is_scale_free_under_powers_of_two(z, k):
+    # 2^k·Z and Z are solved as one matrix scaled to a largest entry in
+    # [1, 2), so the answers differ by the exact factor 2^-k
+    f = 2.0**-k
+    r, rk = maximize(z), maximize(SimilarityMatrix(2.0**k * z.values))
+    assert rk.dmax == r.dmax * f
+    assert (rk.unique, rk.full_support_exists, rk.all_maximizers_full_support) == (
+        r.unique, r.full_support_exists, r.all_maximizers_full_support
+    )
+    assert np.array_equal(rk.sample_maximizer.probs, r.sample_maximizer.probs)
+    assert [fs.indices for fs in rk.winners] == [fs.indices for fs in r.winners]
+    for a, b in zip(rk.winners, r.winners):
+        assert a.magnitude == b.magnitude * f
+        _scaled_space_matches(a.weighting_space, b.weighting_space, f)
+    if r.method != "diagonal-dominance":  # the one label that asks for a unit diagonal
+        assert rk.method == r.method
+    d, dk = full_support_diagnostics(z), full_support_diagnostics(SimilarityMatrix(2.0**k * z.values))
+    assert (dk.exists_full_support_maximizer, dk.all_maximizers_full_support) == (
+        d.exists_full_support_maximizer, d.all_maximizers_full_support
+    )
+    assert (dk.positive_semidefinite, dk.positive_definite) == (d.positive_semidefinite, d.positive_definite)
+    assert (dk.min_eigenvalue, dk.eigenvalue_floor) == (d.min_eigenvalue / f, d.eigenvalue_floor / f)
+    assert (dk.positive_weighting is None) == (d.positive_weighting is None)
+    assert d.positive_weighting is None or np.array_equal(dk.positive_weighting, d.positive_weighting * f)
+    assert (dk.weighting_space is None) == (d.weighting_space is None)
+    if d.weighting_space is not None:
+        _scaled_space_matches(dk.weighting_space, d.weighting_space, f)
 
 
 # the orders the paper's main theorem is checked at
