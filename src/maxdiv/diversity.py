@@ -61,6 +61,13 @@ class Distribution:
         return self.support.size == self.n
 
 
+def _normalized(w: np.ndarray) -> np.ndarray:
+    """``w`` clipped at 0 (forgiving rounding negatives) over the clipped
+    sum: the one rule that turns a weighting into a distribution."""
+    w = np.maximum(w, 0.0)
+    return w / w.sum()
+
+
 def uniform(n: int) -> Distribution:
     return Distribution(np.full(n, 1.0 / n))
 

@@ -272,7 +272,8 @@ def find_nonnegative_weighting(ws: WeightingSolution) -> np.ndarray | None:
     """A weighting with all entries >= -SOLVE_TOL, or ``None`` if the affine
     solution space misses the nonnegative orthant (or is empty).  ``ws`` is
     from :func:`solve_weighting_space`, its particular possibly lowered by a
-    constant as :func:`_positive_weighting` does (see :func:`_phase1_nonneg`)."""
+    constant as :func:`_positive_weighting` does (see :func:`_phase1_nonneg`).
+    The floor is absolute, as no matrix is given to scale it by."""
     if ws.particular is None:
         return None
     if ws.particular.min() >= -SOLVE_TOL:
@@ -293,8 +294,19 @@ def _positive_weighting(ws: WeightingSolution):
 
 
 def find_positive_weighting(z: SimilarityMatrix, subset=None):
-    """A weighting with every entry >= POSITIVITY_EPS on ``Z_B``, or ``None``."""
-    return _positive_weighting(solve_weighting_space(z, subset))
+    """A weighting with every entry >= POSITIVITY_EPS·2^-e on ``Z_B``, or ``None``,
+    found on Z_B / 2^e (``e = _unit_exponent(Z_B)``) and scaled back exactly."""
+    idx = _check_subset(z.n, range(z.n) if subset is None else subset)
+    a = z.sub(idx)
+    e = _unit_exponent(a)
+    particular, nullspace = _solve_affine(np.ldexp(a, -e), np.ones(len(idx)))
+    w = _positive_weighting(WeightingSolution(idx, particular, nullspace, None, None))
+    return None if w is None else np.ldexp(w, -e)
+
+
+def _unit_exponent(values: np.ndarray) -> int:
+    """``floor(log2(max values))``: values / 2^e peaks in [1, 2), where the tolerances are sized."""
+    return int(np.frexp(values.max())[1]) - 1
 
 
 def magnitude(z: SimilarityMatrix, subset=None) -> float | None:

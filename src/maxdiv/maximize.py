@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diversity import Distribution, _support_ordinariness
+from .diversity import Distribution, _normalized, _support_ordinariness
 from .errors import InputError, PreconditionError
 from .kernels import DOMINATED, UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, scan_subsets
 from .linalg import (
@@ -41,6 +41,7 @@ from .linalg import (
     _require_symmetric,
     _solve_definite,
     _spectrum,
+    _unit_exponent,
     find_nonnegative_weighting,
     is_strictly_diagonally_dominant,
     is_ultrametric,
@@ -59,10 +60,10 @@ class FeasibleSubset:
     magnitude and the full weighting space (affine description plus one
     nonnegative representative).  A winner's representative w solves
     Z_B w = 1 within 1e-8 and sums to ``dmax`` and to ``magnitude`` within
-    1e-8·dmax (a singular winner's w is a tying subset's weighting extended
-    by zero; its magnitude is its own).  No entry of w is below -1e-8·2^-e,
-    where 2^e is the power of two that brings the largest entry of Z into
-    [1, 2)."""
+    1e-8·dmax (a singular winner's w is a tying nonsingular subset's
+    weighting extended by zero, and its magnitude is that subset's).  No
+    entry of w is below -1e-8·2^-e, where 2^e is the power of two that
+    brings the largest entry of Z into [1, 2)."""
 
     indices: tuple[int, ...]
     magnitude: float
@@ -95,7 +96,7 @@ class MaximizationResult:
     full_support_exists: bool
     all_maximizers_full_support: bool
     method: str
-    unique: bool | None  # None when uniqueness could not be certified cheaply
+    unique: bool | None  # None only on the fast path: a kernel, no positive weighting
 
 
 def normalize_weighting(w, subset, n: int) -> Distribution:
@@ -107,12 +108,10 @@ def normalize_weighting(w, subset, n: int) -> Distribution:
         raise InputError(f"weighting has {w.shape} entries for a subset of size {len(idx)}")
     if w.min() < -100 * SOLVE_TOL:
         raise InputError(f"weighting entry {w.min()!r} is negative")
-    w = np.maximum(w, 0.0)  # forgive solver-tolerance negatives
-    total = w.sum()
-    if total <= 0:
+    if w.max() <= 0:
         raise InputError("weighting must be nonnegative and nonzero")
     out = np.zeros(n)
-    out[idx] = w / total
+    out[idx] = _normalized(w)
     return Distribution(out)
 
 
@@ -124,8 +123,7 @@ def is_invariant(z: SimilarityMatrix, p: Distribution) -> bool:
 
 
 def _unit_scale(z: SimilarityMatrix) -> tuple[SimilarityMatrix, int]:
-    """``(Z / 2^e, e)`` with ``e = floor(log2(max Z))``, after refusing an
-    asymmetric Z.
+    """``(Z / 2^e, e)`` with ``e = floor(log2(max Z))``, Z refused if asymmetric.
 
     The solver tolerances (``SOLVE_TOL``, the tie slack ``TIE_RTOL·max(1,
     ·)``, ``POSITIVITY_EPS`` and the LP's) are absolute and sized for entries
@@ -140,13 +138,12 @@ def _unit_scale(z: SimilarityMatrix) -> tuple[SimilarityMatrix, int]:
         "maximization, whose supremum for a nonsymmetric matrix can vary with "
         "the order q and need not be attained by any distribution,",
     )
-    e = math.frexp(float(z.values.max()))[1] - 1
+    e = _unit_exponent(z.values)
     return (z, 0) if e == 0 else (SimilarityMatrix(np.ldexp(z.values, -e)), e)
 
 
 def _rescaled_space(ws: WeightingSolution | None, e: int) -> WeightingSolution | None:
-    """A weighting space of Z / 2^e as the same space of Z: every weighting
-    and the magnitude times 2^-e, the kernel as it is."""
+    """A weighting space of Z / 2^e as that of Z: weightings and magnitude times 2^-e, kernel as is."""
     if ws is None or e == 0:
         return ws
     return replace(
@@ -187,26 +184,8 @@ def _mask_indices(mask: int, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if (mask >> i) & 1)
 
 
-def _certify_uniqueness(winners) -> bool | None:
-    reps = np.zeros((len(winners), max(max(fs.indices) for fs in winners) + 1))
-    for rep, fs in zip(reps, winners):
-        w = fs.weighting_space.nonnegative
-        rep[list(fs.indices)] = np.maximum(w, 0.0) / max(w.sum(), 1e-300)
-    if np.abs(reps - reps[0]).max() > 1e-9:
-        return False  # two distinct maximizing distributions exhibited
-    return True if all(fs.weighting_space.unique for fs in winners) else None
-
-
 def _solve(z: SimilarityMatrix, mask: int) -> WeightingSolution:
     return solve_weighting_space(z, _mask_indices(mask, z.n))
-
-
-def _tying(mags: np.ndarray) -> np.ndarray:
-    """Indices (mask - 1) of the magnitudes within TIE_RTOL of the largest."""
-    dmax0 = float(np.nanmax(mags))
-    thresh = dmax0 - TIE_RTOL * max(1.0, abs(dmax0))
-    with np.errstate(invalid="ignore"):
-        return np.flatnonzero(mags >= thresh)
 
 
 def maximize_exhaustive(z: SimilarityMatrix) -> MaximizationResult:
@@ -223,7 +202,7 @@ def maximize_exhaustive(z: SimilarityMatrix) -> MaximizationResult:
     rank-deficient it joins the ``UNRESOLVED`` (singular) subsets.  Each
     tying nonsingular T is solved once and its tight rows marked: j ∉ T with
     |Z_{jT} w_T - 1| <= ``SOLVE_TOL``.  Every singular B with T ⊆ B ⊆ T ∪
-    tight(T) wins, and w_T extended by zero weights it.
+    tight(T) wins, and w_T extended by zero weights it, with T's magnitude.
 
     No winner is missed.  Take a winner B; the maximizers p supported in B
     with Z_B p = (1/Dmax)·1 form a polytope.  Let p* be a vertex, with
@@ -231,7 +210,9 @@ def maximize_exhaustive(z: SimilarityMatrix) -> MaximizationResult:
     p* ± tu are maximizers for small t, and their KKT conditions force
     Z_{BT} u = 0; then p* ± tu lie in the polytope and p* is no vertex.  So
     Z_T is nonsingular, T ties with w_T = Dmax·p*_T ≥ 0, and every row of
-    B outside T is tight: no singular subset raises the maximum.
+    B outside T is tight: no singular subset raises the maximum.  So every
+    maximizer is a convex combination of the normalized w_T, and it is
+    unique exactly when these coincide.
     """
     return _sweep(z, None)
 
@@ -264,25 +245,29 @@ def _sweep(z: SimilarityMatrix, full_support) -> MaximizationResult:
             status[mask - 1] = UNRESOLVED  # settled with the singular subsets
     singular = np.flatnonzero(status == UNRESOLVED) + 1
 
-    winners = {}  # winning mask -> (weighting space or None, nonnegative weighting)
+    winners = {}  # mask -> (its space or None, weighting and magnitude of a tying T)
     bits = 1 << np.arange(z.n, dtype=np.int64)
-    for t in (_tying(mags) + 1).tolist():
+    dmax0 = float(np.nanmax(mags))
+    with np.errstate(invalid="ignore"):  # NaN: no nonnegative weighting
+        tying = np.flatnonzero(mags >= dmax0 - TIE_RTOL * max(1.0, abs(dmax0))) + 1
+    for t in tying.tolist():
         ws = solved.get(t) or _solve(z, t)
-        winners[t] = ws, ws.particular
+        winners[t] = ws, ws.particular, ws.magnitude
         tight = np.abs(z.values[:, ws.subset] @ ws.particular - 1.0) <= SOLVE_TOL
         cover = t | int(bits[tight].sum())
         for b in singular[((singular & t) == t) & ((singular & ~cover) == 0)].tolist():
             rep = np.zeros(b.bit_count())
             rep[np.searchsorted(_mask_indices(b, z.n), ws.subset)] = ws.particular
-            winners.setdefault(b, (solved.get(b), rep))
+            winners.setdefault(b, (solved.get(b), rep, ws.magnitude))
 
     found = []
     for mask in sorted(winners, key=lambda m: (m.bit_count(), _mask_indices(m, z.n))):
-        ws, w = winners[mask]
+        ws, w, mag = winners[mask]
         ws = ws or _solve(z, mask)
         if ws.particular is not None:  # None only at the edge of SOLVE_TOL
-            found.append(FeasibleSubset(ws.subset, float(ws.magnitude), ws.with_nonnegative(w)))
-    return _rescaled(_result(z, tuple(found), full_support, "exhaustive"), e)
+            found.append(FeasibleSubset(ws.subset, float(mag), ws.with_nonnegative(w)))
+    # True: the winners' weightings span every maximizer (the vertex argument)
+    return _rescaled(_result(z, tuple(found), full_support, "exhaustive", True), e)
 
 
 def _rescaled(result: MaximizationResult, e: int) -> MaximizationResult:
@@ -297,19 +282,22 @@ def _rescaled(result: MaximizationResult, e: int) -> MaximizationResult:
     return replace(result, dmax=math.ldexp(result.dmax, -e), winners=winners)
 
 
-def _result(z: SimilarityMatrix, winners, full_support, method: str) -> MaximizationResult:
-    """The result of either route: ``dmax`` is the largest winner magnitude,
-    the sample maximizer comes from the winner with the smallest index tuple,
-    and ``unique`` from :func:`_certify_uniqueness`."""
-    sample_from = min(winners, key=lambda fs: fs.indices)
+def _result(z: SimilarityMatrix, winners, full_support, method: str, unique) -> MaximizationResult:
+    """Either route's result from each winner's normalized weighting: the
+    sample maximizer is that of the smallest index tuple, and ``unique`` is
+    False when two differ by over 1e-9, else the route's verdict."""
+    reps = np.zeros((len(winners), z.n))
+    for rep, fs in zip(reps, winners):
+        rep[list(fs.indices)] = _normalized(fs.weighting_space.nonnegative)
+    first = min(range(len(winners)), key=lambda i: winners[i].indices)
     return MaximizationResult(
         dmax=max(fs.magnitude for fs in winners),
         winners=winners,
-        sample_maximizer=normalize_weighting(sample_from.weighting_space.nonnegative, sample_from.indices, z.n),
+        sample_maximizer=Distribution(reps[first]),
         full_support_exists=full_support[0],
         all_maximizers_full_support=full_support[1],
         method=method,
-        unique=_certify_uniqueness(winners),
+        unique=False if np.ptp(reps, axis=0).max() > 1e-9 else unique,
     )
 
 
@@ -340,14 +328,12 @@ def maximize_fast_path(z: SimilarityMatrix) -> MaximizationResult | None:
         method = "diagonal-dominance"
     else:
         method = "positive-semidefinite"
+    # a kernel u and a positive w give two maximizers w ± t·u (1ᵀu = wᵀZu = 0);
+    # a kernel and no positive weighting leave the full set's space undecided
+    unique = True if ws.unique else False if diag.positive_weighting is not None else None
     winner = FeasibleSubset(tuple(range(z.n)), float(ws.magnitude), ws.with_nonnegative(w))
     full_support = (diag.exists_full_support_maximizer, diag.all_maximizers_full_support)
-    result = _result(zs, (winner,), full_support, method)
-    if not ws.unique and diag.positive_weighting is not None:
-        # w ± t·u, for u in the kernel and small t, are two nonnegative
-        # weightings with the same sum (1ᵀu = wᵀZu = 0): two maximizers
-        result = replace(result, unique=False)
-    return _rescaled(result, e)
+    return _rescaled(_result(zs, (winner,), full_support, method, unique), e)
 
 
 def maximize(z: SimilarityMatrix) -> MaximizationResult:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diversity import Distribution, check_order, diversity
+from .diversity import Distribution, _normalized, check_order, diversity
 from .errors import InputError, PreconditionError
 from .kernels import grid_best
 from .linalg import SimilarityMatrix
@@ -64,11 +64,6 @@ def grid_max_multi(z: SimilarityMatrix, orders, spec: GridSpec) -> tuple[GridMax
 def grid_max(z, q, spec: GridSpec) -> GridMax:
     """Lattice maximum of diversity of order ``q``: value and an argmax."""
     return grid_max_multi(z, [q], spec)[0]
-
-
-def _clean(p: np.ndarray) -> np.ndarray:
-    p = np.maximum(p, 0.0)
-    return p / p.sum()
 
 
 def _eval(z: SimilarityMatrix, p: np.ndarray, q: float) -> float:
@@ -138,7 +133,7 @@ def _refine_single(z, q, probs):
         j, k, t = move
         p[j] += t
         p[k] = 0.0 if t >= p[k] else p[k] - t
-        p = _clean(p)
+        p = _normalized(p)
         value = _eval(z, p, q)
     return p
 

@@ -14,7 +14,7 @@ from maxdiv import (
     solve_weighting_space,
 )
 from maxdiv.kernels import UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, _classify_group, _subset_groups
-from maxdiv.maximize import TIE_RTOL, FeasibleSubset, _certify_uniqueness
+from maxdiv.maximize import TIE_RTOL, FeasibleSubset
 
 # Three-species community (one newt, two similar frogs).  The unique
 # weighting is (55/79, 30/79, 30/79), giving magnitude 115/79 and the
@@ -128,6 +128,24 @@ def random_duplicated_psd(rng, n):
     return SimilarityMatrix(base[np.ix_(assignment, assignment)])
 
 
+def zero_weight_duplicates(rng):
+    """A unit-diagonal matrix on 5 to 7 species whose first four are
+    ``[[1, 0, a, a], [0, 1, 1-a, 1-a], [a, 1-a, 1, 1], [a, 1-a, 1, 1]]``
+    and whose other entries are uniform.  Species 3 copies species 2, and
+    the weighting (1, 1) of {0, 1} makes both their rows tight, so where
+    {0, 1} wins, {0, 1, 2}, {0, 1, 3} and {0, 1, 2, 3} tie with it and weight
+    the copies by zero."""
+    n = 4 + int(rng.integers(1, 4))
+    a = rng.uniform(0.05, 0.95)
+    u = rng.uniform(size=(n, n))
+    z = (u + u.T) / 2.0
+    z[:4, :4] = [[1.0, 0.0, a, a], [0.0, 1.0, 1.0 - a, 1.0 - a], [a, 1.0 - a, 1.0, 1.0], [a, 1.0 - a, 1.0, 1.0]]
+    z[3, 4:] = z[2, 4:]
+    z[4:, 3] = z[4:, 2]
+    np.fill_diagonal(z, 1.0)
+    return SimilarityMatrix(z)
+
+
 def random_graph(rng, n, edge_prob=0.4):
     edges = [
         (i, j)
@@ -169,7 +187,11 @@ def unpruned_reference(z):
     """The subset sweep with no column-sum bound, every mask classified by
     :func:`scan_every_subset`, and every mask it leaves unsettled
     (UNRESOLVED or UNRELIABLE) sent through the row reduction and the
-    phase-1 LP: ``(dmax, winners, unique, sample maximizer)``."""
+    phase-1 LP: ``(dmax, winners, unique, sample maximizer)``.  ``dmax`` is
+    the largest magnitude of a nonsingular winner, and the maximizer is
+    unique when the winners' normalized weightings agree within 1e-9; a
+    singular winner carries its own phase-1 LP point, not a tying subset's
+    weighting, so this checks the sweep's verdict independently."""
     status, mags = scan_every_subset(z.values)
     mags = np.where(status == UNIQUE_NONNEG, mags, np.nan)
     for mask in np.flatnonzero((status == UNRESOLVED) | (status == UNRELIABLE)) + 1:
@@ -184,10 +206,10 @@ def unpruned_reference(z):
         ws = solve_weighting_space(z, mask_indices(int(mask), z.n))
         w = find_nonnegative_weighting(ws)
         winners.append(FeasibleSubset(ws.subset, float(ws.magnitude), ws.with_nonnegative(w)))
-    first = min(winners, key=lambda fs: fs.indices)
-    sample = normalize_weighting(first.weighting_space.nonnegative, first.indices, z.n)
-    dmax = max(fs.magnitude for fs in winners)
-    return dmax, winners, _certify_uniqueness(winners), sample
+    reps = {fs.indices: normalize_weighting(fs.weighting_space.nonnegative, fs.indices, z.n) for fs in winners}
+    spread = np.ptp([p.probs for p in reps.values()], axis=0).max()
+    dmax = max(fs.magnitude for fs in winners if fs.weighting_space.unique)
+    return dmax, winners, bool(spread <= 1e-9), reps[min(reps)]
 
 
 def assert_same_result(r, dmax, winners, unique, sample):

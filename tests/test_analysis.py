@@ -317,6 +317,27 @@ def test_fast_path_kernel_with_positive_weighting_is_not_unique():
                 assert diversity(z, Distribution(moved), q) == pytest.approx(r.dmax, rel=1e-9, abs=0.0)
 
 
+def test_fast_path_kernel_without_positive_weighting_is_not_certified():
+    # species 3 copies species 2, and Z is positive semidefinite with the
+    # kernel e_3 - e_2.  No weighting is positive, so w ± t·u exhibits no
+    # second maximizer, and the full set's weighting space alone cannot
+    # settle the question: the route reports None.  (The maximizer
+    # (1/2, 1/2, 0, 0, 0) is in fact unique.)
+    z = SimilarityMatrix([
+        [1.0, 0.0, 0.5, 0.5, 0.9],
+        [0.0, 1.0, 0.5, 0.5, 0.1],
+        [0.5, 0.5, 1.0, 1.0, 0.5],
+        [0.5, 0.5, 1.0, 1.0, 0.5],
+        [0.9, 0.1, 0.5, 0.5, 1.0],
+    ])
+    r = maximize(z)
+    assert r.method == "positive-semidefinite"
+    assert r.winners[0].weighting_space.nullspace.shape[0] == 1
+    assert not r.full_support_exists
+    assert r.unique is None
+    assert np.abs(r.sample_maximizer.probs - [0.5, 0.5, 0.0, 0.0, 0.0]).max() <= 1e-12
+
+
 def _positive_weighting_direct(z, subset, eps=POSITIVITY_EPS):
     """The former direct solve: ``w = eps + y`` with ``y >= 0`` and
     ``Z_B y = 1 - eps * Z_B 1``, reduced on its own right-hand side."""

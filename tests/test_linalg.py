@@ -313,6 +313,15 @@ class TestPositiveWeighting:
         assert w.min() > 0
         assert abs(w.sum() - 1.0) <= 1e-6
 
+    @pytest.mark.parametrize("c", [1e-10, 1e10])
+    def test_scaled_identity_keeps_its_positive_weighting(self, c):
+        # the search runs on Z_B / 2^e, so the absolute POSITIVITY_EPS does
+        # not hide the weighting (1/c)·1 of c·I, as it did at c = 1e10
+        w = find_positive_weighting(SimilarityMatrix(c * np.eye(3)))
+        assert w == pytest.approx(np.full(3, 1.0 / c), rel=1e-12)
+        sub = find_positive_weighting(SimilarityMatrix(np.diag([1.0, c, c])), [1, 2])
+        assert sub == pytest.approx(np.full(2, 1.0 / c), rel=1e-12)
+
     def test_absent_when_unique_weighting_negative(self):
         z = SimilarityMatrix([[1.0, 0.9, 0.9], [0.9, 1.0, 0.1], [0.9, 0.1, 1.0]])
         assert find_positive_weighting(z) is None

@@ -100,6 +100,29 @@ class TestExhaustive:
         assert r.unique is True
         assert not r.full_support_exists
 
+    def test_zero_weight_duplicates_leave_the_maximizer_unique(self):
+        # species 3 copies species 2, and w = (1, 1) on {0, 1} makes both
+        # their rows tight, so {0, 1, 2}, {0, 1, 3} and the singular
+        # {0, 1, 2, 3} tie with {0, 1}.  Z is not positive semidefinite, so
+        # it is swept; by the vertex argument every maximizer is the
+        # normalized w_{0,1}, which each winner carries extended by zero
+        z = SimilarityMatrix([
+            [1.0, 0.0, 0.5, 0.5, 0.6],
+            [0.0, 1.0, 0.5, 0.5, 0.6],
+            [0.5, 0.5, 1.0, 1.0, 0.2],
+            [0.5, 0.5, 1.0, 1.0, 0.2],
+            [0.6, 0.6, 0.2, 0.2, 1.0],
+        ])
+        assert np.linalg.eigvalsh(z.values).min() < -0.01
+        r = maximize(z)
+        assert r.method == "exhaustive"
+        assert [fs.indices for fs in r.winners] == [(0, 1), (0, 1, 2), (0, 1, 3), (0, 1, 2, 3)]
+        assert r.dmax == pytest.approx(2.0, abs=1e-12)
+        assert all(fs.magnitude == r.dmax for fs in r.winners)
+        assert np.array_equal(r.sample_maximizer.probs, [0.5, 0.5, 0.0, 0.0, 0.0])
+        assert r.unique is True
+        assert_same_result(r, *unpruned_reference(z))
+
     def test_four_path_winner_families(self):
         r = maximize_exhaustive(path_adjacency(4))
         assert r.dmax == pytest.approx(2.0, abs=1e-12)
@@ -421,6 +444,8 @@ class TestPrunedSweep:
         assert indices == [(0, 3), (1, 3), (0, 1, 3)]
         assert not r.winners[2].weighting_space.unique
         assert r.winners[2].weighting_space.nonnegative.tolist() == [1.0, 0.0, 1.0]
+        # its own solve gives 1.9999999997; it reports the magnitude of T
+        assert r.winners[2].magnitude == r.winners[0].magnitude == 2.0
         # the reference weights {0, 1, 3} by its own particular solution,
         # which differs from w_T by the 3e-10 slack of row 1; {0, 1, 3} is
         # the smallest-index winner, so the sample maximizers differ by as much

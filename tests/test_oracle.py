@@ -135,7 +135,7 @@ def _refine_per_pair_base(z, q, probs):
         j, k, t = move
         p[j] += t
         p[k] = 0.0 if t >= p[k] else p[k] - t
-        p = oracle._clean(p)
+        p = oracle._normalized(p)
     return p
 
 

@@ -22,12 +22,15 @@ from maxdiv import (
     adjacency_matrix,
     diversity,
     diversity_profile,
+    find_positive_weighting,
     full_support_diagnostics,
     grid_max_multi,
     independence_number,
     maximize,
     maximize_exhaustive,
+    normalize_weighting,
     power_mean,
+    solve_weighting_space,
 )
 
 from helpers import (
@@ -41,6 +44,7 @@ from helpers import (
     random_ultrametric,
     scan_every_subset,
     unpruned_reference,
+    zero_weight_duplicates,
 )
 
 SPECIAL_ORDERS = (0.0, 1.0, 2.0, math.inf)
@@ -187,6 +191,29 @@ def test_column_sum_pruning_keeps_ties_on_few_levels(z):
     assert np.abs(pruned.sample_maximizer.probs - sample.probs).max() <= 1e-9
 
 
+@st.composite
+def zero_weight_duplicate_matrices(draw):
+    return zero_weight_duplicates(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(z=st.one_of(family_matrices(), zero_weight_duplicate_matrices()))
+def test_swept_uniqueness_follows_the_winners_weightings(z):
+    # every maximizer is a convex combination of the winners' normalized
+    # weightings, so they decide uniqueness and the sweep never leaves it open
+    r = maximize_exhaustive(z)
+    reps = [normalize_weighting(fs.weighting_space.nonnegative, fs.indices, z.n) for fs in r.winners]
+    assert r.unique is not None
+    if r.unique:
+        for p in reps:
+            assert np.abs(p.probs - r.sample_maximizer.probs).max() <= 1e-9
+    else:
+        assert np.ptp([p.probs for p in reps], axis=0).max() > 1e-9
+        for p in reps:
+            for q in SPECIAL_ORDERS:
+                assert math.isclose(diversity(z, p, q), r.dmax, rel_tol=1e-9), (p.probs, q)
+
+
 # perfbench's check_winners tolerance
 WINNER_TOL = 1e-8
 
@@ -272,3 +299,26 @@ def test_graph_dmax_is_the_independence_number(n, seed):
     g = random_graph(rng, n, rng.uniform(0.1, 0.9))
     dmax = maximize(adjacency_matrix(g)).dmax
     assert abs(dmax - independence_number(g)) <= 1e-9
+
+
+POWERS = (-40, -7, 13, 40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(z=family_matrices(), k=st.sampled_from(POWERS))
+def test_weighting_space_scales_exactly_under_powers_of_two(z, k):
+    # every pivot, residual and kernel entry of the row reduction of 2^k·Z
+    # is the one of Z or that times 2^±k, so no tolerance sees the scale
+    ws = solve_weighting_space(z)
+    _scaled_space_matches(solve_weighting_space(SimilarityMatrix(2.0**k * z.values)), ws, 2.0**-k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=family_matrices(), k=st.integers(-40, 40), data=st.data())
+def test_positive_weighting_is_scale_free_under_powers_of_two(z, k, data):
+    subset = data.draw(st.sets(st.integers(0, z.n - 1), min_size=1))
+    zk = SimilarityMatrix(2.0**k * z.values)
+    for b in (None, subset):
+        w, wk = find_positive_weighting(z, b), find_positive_weighting(zk, b)
+        assert (wk is None) == (w is None)
+        assert w is None or np.array_equal(wk, w * 2.0**-k)
