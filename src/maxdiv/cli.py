@@ -4,8 +4,10 @@
 positive semidefinite matrix whose full set has a nonnegative weighting and
 sweeps subsets otherwise, and the output names the route it took.
 
-Exit codes: 0 success, 2 input error, 3 precondition violation (asymmetry,
-size caps), 4 internal numerical failure.
+Exit codes: 0 success, 2 input error (including an unreadable or unwritable
+file), 3 precondition violation (asymmetry, size caps), 4 numerical failure
+(including a result beyond the float64 range).  Every ``MaxdivError`` a
+command raises is printed as one ``error:`` line by :func:`_guarded`.
 """
 
 from __future__ import annotations
@@ -54,8 +56,7 @@ def _read(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        click.echo(f"error: cannot read {path}: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        raise InputError(f"cannot read {path}: {exc}") from None
 
 
 def _parse_order(text: str) -> float:
@@ -124,8 +125,7 @@ def profile_cmd(matrix_path, abundance_path, orders_text, output, normalize):
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            click.echo(f"error: cannot write {output}: {exc}", err=True)
-            sys.exit(EXIT_INPUT)
+            raise InputError(f"cannot write {output}: {exc}") from None
 
 
 def _maximization_json(result):

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .diversity import _power_mean_core
-from .linalg import PIVOT_RTOL, SOLVE_TOL, TIE_RTOL
+from .linalg import PIVOT_RTOL, SOLVE_TOL, _tie_threshold
 
 # Subset classification codes.
 UNIQUE_NONNEG = 0  # unique weighting, entrywise >= -SOLVE_TOL
@@ -178,11 +178,12 @@ def scan_subsets(z: np.ndarray):
     no gather through its member table: ``Zᵀ bits`` holds c_j in every row
     j, Σc is its sum over the member rows and min c its minimum with the
     other rows masked to infinity.  A subset is ``DOMINATED`` when the
-    bound is below ``best - TIE_RTOL·max(1, best)``, the lowest threshold
-    a tie can have.  No winner is lost.  Let w be any weighting of B that
-    the maximizer can accept: residual |Z_B w - 1| <= SOLVE_TOL and
-    entries >= -SOLVE_TOL, whether the scan or a row reduction found it, or
-    it is a tying subset's w_T that the tight-row closure extends by zero.
+    bound is below ``_tie_threshold(best)``, the lowest magnitude that can
+    tie a maximum of at least ``best``.  No winner is lost.  Let w be any
+    weighting of B that the maximizer can accept: residual |Z_B w - 1| <=
+    SOLVE_TOL and entries >= -SOLVE_TOL, whether the scan or a row
+    reduction found it, or it is a tying subset's w_T that the tight-row
+    closure extends by zero.
     As Z >= 0, Σ_j c_j w_j = 1ᵀ Z_B w <= k(1 + SOLVE_TOL), and with w⁺ =
     max(w, 0), min c · 1ᵀw⁺ <= Σ_j c_j w⁺_j <= Σ_j c_j w_j + SOLVE_TOL·Σc.
     So 1ᵀw <= 1ᵀw⁺ is at most the bound: a dominated subset can neither tie
@@ -204,7 +205,7 @@ def scan_subsets(z: np.ndarray):
         total_c = (zb * bits).sum(axis=0)
         with np.errstate(divide="ignore"):
             bound = (k * (1.0 + SOLVE_TOL) + SOLVE_TOL * total_c) / np.where(bits == 0, np.inf, zb).min(axis=0)
-        keep = ~(bound < best - TIE_RTOL * max(1.0, best))
+        keep = ~(bound < _tie_threshold(best))
         if not keep.any():
             continue
         masks, idx = masks[keep], idx[:, keep]

@@ -42,6 +42,13 @@ LP_ITERATION_CAP = 10_000
 _SYMMETRIZE_TOL = 1e-12
 
 
+def _tie_threshold(top: float) -> float:
+    """The least magnitude that ties ``top``: ``top - TIE_RTOL·max(1, |top|)``.
+    The subset scan's column-sum bound and the sweep's tie set both use it,
+    and the bound is sound only because they agree."""
+    return top - TIE_RTOL * max(1.0, abs(top))
+
+
 @dataclass(frozen=True)
 class SimilarityMatrix:
     """Square matrix of nonnegative similarity coefficients, positive diagonal.
@@ -295,18 +302,38 @@ def _positive_weighting(ws: WeightingSolution):
 
 def find_positive_weighting(z: SimilarityMatrix, subset=None):
     """A weighting with every entry >= POSITIVITY_EPS·2^-e on ``Z_B``, or ``None``,
-    found on Z_B / 2^e (``e = _unit_exponent(Z_B)``) and scaled back exactly."""
+    found on Z_B / 2^e (``e = _unit_exponent(Z_B)``) and scaled back exactly
+    by :func:`_unscaled`."""
     idx = _check_subset(z.n, range(z.n) if subset is None else subset)
     a = z.sub(idx)
     e = _unit_exponent(a)
     particular, nullspace = _solve_affine(np.ldexp(a, -e), np.ones(len(idx)))
     w = _positive_weighting(WeightingSolution(idx, particular, nullspace, None, None))
-    return None if w is None else np.ldexp(w, -e)
+    return _unscaled(w, e)
 
 
 def _unit_exponent(values: np.ndarray) -> int:
     """``floor(log2(max values))``: values / 2^e peaks in [1, 2), where the tolerances are sized."""
     return int(np.frexp(values.max())[1]) - 1
+
+
+def _unscaled(x, e: int):
+    """``x·2^-e``: a weighting array or a float magnitude found on Z / 2^e, in
+    Z's units, and ``None`` as is.
+
+    Refused with ``NumericalError`` when that leaves the float64 range, as it
+    can for a matrix whose largest entry is below about 1e-308."""
+    if x is None:
+        return None
+    with np.errstate(over="raise"):
+        try:
+            out = np.ldexp(x, -e)
+        except FloatingPointError:
+            raise NumericalError(
+                f"a weighting or magnitude of {np.max(x):.6g}·2^{-e} is beyond the float64 range "
+                f"(at most {np.finfo(np.float64).max:.6g}); the matrix entries are too small"
+            ) from None
+    return out if isinstance(x, np.ndarray) else float(out)
 
 
 def magnitude(z: SimilarityMatrix, subset=None) -> float | None:

@@ -19,6 +19,8 @@ reduction that also yields the kernel when Z is only semidefinite.
 divided by the power of two that brings its largest entry into [1, 2),
 where the solver tolerances are sized, and scale their answer back, so
 scaling Z by 2^k scales every magnitude and weighting by exactly 2^-k.
+Each winner is built once, in one step to Z's units that refuses a value
+beyond the float64 range, and its magnitude is its weighting space's.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .errors import InputError, PreconditionError
 from .kernels import DOMINATED, UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, scan_subsets
 from .linalg import (
     SOLVE_TOL,
-    TIE_RTOL,
     SimilarityMatrix,
     WeightingSolution,
     _check_subset,
@@ -41,7 +42,9 @@ from .linalg import (
     _require_symmetric,
     _solve_definite,
     _spectrum,
+    _tie_threshold,
     _unit_exponent,
+    _unscaled,
     find_nonnegative_weighting,
     is_strictly_diagonally_dominant,
     is_ultrametric,
@@ -56,14 +59,13 @@ INVARIANT_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class FeasibleSubset:
-    """A subset whose submatrix admits a nonnegative weighting, with its
+    """A subset B whose submatrix admits a nonnegative weighting, with its
     magnitude and the full weighting space (affine description plus one
-    nonnegative representative).  A winner's representative w solves
-    Z_B w = 1 within 1e-8 and sums to ``dmax`` and to ``magnitude`` within
-    1e-8·dmax (a singular winner's w is a tying nonsingular subset's
-    weighting extended by zero, and its magnitude is that subset's).  No
-    entry of w is below -1e-8·2^-e, where 2^e is the power of two that
-    brings the largest entry of Z into [1, 2)."""
+    nonnegative representative w); ``magnitude`` is the space's.  A winner's
+    w solves Z_B w = 1 within 1e-8, sums to ``dmax`` within 1e-8·dmax, and
+    has no entry below -1e-8·2^-e, where 2^e brings Z's largest entry into
+    [1, 2).  A swept winner's ``particular`` is w: a tying nonsingular T's
+    weighting, extended by zero (with T's magnitude) when B is singular."""
 
     indices: tuple[int, ...]
     magnitude: float
@@ -143,15 +145,23 @@ def _unit_scale(z: SimilarityMatrix) -> tuple[SimilarityMatrix, int]:
 
 
 def _rescaled_space(ws: WeightingSolution | None, e: int) -> WeightingSolution | None:
-    """A weighting space of Z / 2^e as that of Z: weightings and magnitude times 2^-e, kernel as is."""
+    """A weighting space of Z / 2^e as that of Z: weightings and magnitude
+    times 2^-e, kernel as is; refused when they leave the float64 range."""
     if ws is None or e == 0:
         return ws
     return replace(
         ws,
-        particular=None if ws.particular is None else np.ldexp(ws.particular, -e),
-        nonnegative=None if ws.nonnegative is None else np.ldexp(ws.nonnegative, -e),
-        magnitude=None if ws.magnitude is None else math.ldexp(ws.magnitude, -e),
+        particular=_unscaled(ws.particular, e),
+        nonnegative=_unscaled(ws.nonnegative, e),
+        magnitude=_unscaled(ws.magnitude, e),
     )
+
+
+def _winner(ws: WeightingSolution, e: int) -> FeasibleSubset:
+    """A winner of Z from its weighting space on Z / 2^e, whose
+    representative and magnitude are set: the magnitude is the space's."""
+    ws = _rescaled_space(ws, e)
+    return FeasibleSubset(ws.subset, ws.magnitude, ws)
 
 
 def full_support_diagnostics(z: SimilarityMatrix) -> FullSupportDiagnostics:
@@ -175,7 +185,7 @@ def full_support_diagnostics(z: SimilarityMatrix) -> FullSupportDiagnostics:
         positive_definite=pd,
         min_eigenvalue=math.ldexp(low, e),
         eigenvalue_floor=math.ldexp(floor, e),
-        positive_weighting=None if pos is None else np.ldexp(pos, -e),
+        positive_weighting=_unscaled(pos, e),
         weighting_space=_rescaled_space(ws, e),
     )
 
@@ -202,7 +212,8 @@ def maximize_exhaustive(z: SimilarityMatrix) -> MaximizationResult:
     rank-deficient it joins the ``UNRESOLVED`` (singular) subsets.  Each
     tying nonsingular T is solved once and its tight rows marked: j ∉ T with
     |Z_{jT} w_T - 1| <= ``SOLVE_TOL``.  Every singular B with T ⊆ B ⊆ T ∪
-    tight(T) wins, and w_T extended by zero weights it, with T's magnitude.
+    tight(T) wins, weighted by w_T extended by zero, with T's magnitude and
+    the kernel of its own one solve.
 
     No winner is missed.  Take a winner B; the maximizers p supported in B
     with Z_B p = (1/Dmax)·1 form a polytope.  Let p* be a vertex, with
@@ -229,10 +240,11 @@ def _sweep(z: SimilarityMatrix, full_support) -> MaximizationResult:
     status, mags = scan_subsets(z.values)
     import logging  # here, not at the top: only the sweep logs, and the import costs ~5 ms
 
-    logging.getLogger("maxdiv").debug(
-        "subset scan n=%d: %d unique_nonneg, %d unique_neg, %d unresolved, %d unreliable, %d dominated",
-        z.n, *np.bincount(status, minlength=DOMINATED + 1).tolist(),
-    )
+    if (log := logging.getLogger("maxdiv")).isEnabledFor(logging.DEBUG):
+        log.debug(
+            "subset scan n=%d: %d unique_nonneg, %d unique_neg, %d unresolved, %d unreliable, %d dominated",
+            z.n, *np.bincount(status, minlength=DOMINATED + 1).tolist(),
+        )
 
     # magnitudes of feasible nonsingular subsets, indexed by mask - 1 (NaN elsewhere)
     mags = np.where(status == UNIQUE_NONNEG, mags, np.nan)
@@ -245,48 +257,30 @@ def _sweep(z: SimilarityMatrix, full_support) -> MaximizationResult:
             status[mask - 1] = UNRESOLVED  # settled with the singular subsets
     singular = np.flatnonzero(status == UNRESOLVED) + 1
 
-    winners = {}  # mask -> (its space or None, weighting and magnitude of a tying T)
+    winners = {}  # mask -> its winner, in Z's units
     bits = 1 << np.arange(z.n, dtype=np.int64)
-    dmax0 = float(np.nanmax(mags))
     with np.errstate(invalid="ignore"):  # NaN: no nonnegative weighting
-        tying = np.flatnonzero(mags >= dmax0 - TIE_RTOL * max(1.0, abs(dmax0))) + 1
+        tying = np.flatnonzero(mags >= _tie_threshold(float(np.nanmax(mags)))) + 1
     for t in tying.tolist():
         ws = solved.get(t) or _solve(z, t)
-        winners[t] = ws, ws.particular, ws.magnitude
+        winners[t] = _winner(ws.with_nonnegative(ws.particular), e)
         tight = np.abs(z.values[:, ws.subset] @ ws.particular - 1.0) <= SOLVE_TOL
         cover = t | int(bits[tight].sum())
-        for b in singular[((singular & t) == t) & ((singular & ~cover) == 0)].tolist():
+        for b in set(singular[((singular & t) == t) & ((singular & ~cover) == 0)].tolist()) - winners.keys():
             rep = np.zeros(b.bit_count())
             rep[np.searchsorted(_mask_indices(b, z.n), ws.subset)] = ws.particular
-            winners.setdefault(b, (solved.get(b), rep, ws.magnitude))
-
-    found = []
-    for mask in sorted(winners, key=lambda m: (m.bit_count(), _mask_indices(m, z.n))):
-        ws, w, mag = winners[mask]
-        ws = ws or _solve(z, mask)
-        if ws.particular is not None:  # None only at the edge of SOLVE_TOL
-            found.append(FeasibleSubset(ws.subset, float(mag), ws.with_nonnegative(w)))
+            own = solved.get(b) or _solve(z, b)
+            winners[b] = _winner(replace(own, particular=rep, nonnegative=rep, magnitude=ws.magnitude), e)
+    order = sorted(winners, key=lambda m: (m.bit_count(), _mask_indices(m, z.n)))
     # True: the winners' weightings span every maximizer (the vertex argument)
-    return _rescaled(_result(z, tuple(found), full_support, "exhaustive", True), e)
+    return _result(z.n, tuple(winners[m] for m in order), full_support, "exhaustive", True)
 
 
-def _rescaled(result: MaximizationResult, e: int) -> MaximizationResult:
-    """A result found on Z / 2^e as the result for Z: ``dmax`` and every
-    winner's magnitude and weightings times 2^-e."""
-    if e == 0:
-        return result
-    winners = tuple(
-        replace(fs, magnitude=math.ldexp(fs.magnitude, -e), weighting_space=_rescaled_space(fs.weighting_space, e))
-        for fs in result.winners
-    )
-    return replace(result, dmax=math.ldexp(result.dmax, -e), winners=winners)
-
-
-def _result(z: SimilarityMatrix, winners, full_support, method: str, unique) -> MaximizationResult:
-    """Either route's result from each winner's normalized weighting: the
-    sample maximizer is that of the smallest index tuple, and ``unique`` is
-    False when two differ by over 1e-9, else the route's verdict."""
-    reps = np.zeros((len(winners), z.n))
+def _result(n: int, winners, full_support, method: str, unique) -> MaximizationResult:
+    """Either route's result from its finished winners, each normalized
+    once: the sample maximizer is that of the smallest index tuple, and
+    ``unique`` is False when two differ by over 1e-9, else the route's verdict."""
+    reps = np.zeros((len(winners), n))
     for rep, fs in zip(reps, winners):
         rep[list(fs.indices)] = _normalized(fs.weighting_space.nonnegative)
     first = min(range(len(winners)), key=lambda i: winners[i].indices)
@@ -331,9 +325,8 @@ def maximize_fast_path(z: SimilarityMatrix) -> MaximizationResult | None:
     # a kernel u and a positive w give two maximizers w ± t·u (1ᵀu = wᵀZu = 0);
     # a kernel and no positive weighting leave the full set's space undecided
     unique = True if ws.unique else False if diag.positive_weighting is not None else None
-    winner = FeasibleSubset(tuple(range(z.n)), float(ws.magnitude), ws.with_nonnegative(w))
     full_support = (diag.exists_full_support_maximizer, diag.all_maximizers_full_support)
-    return _rescaled(_result(zs, (winner,), full_support, method, unique), e)
+    return _result(z.n, (_winner(ws.with_nonnegative(w), e),), full_support, method, unique)
 
 
 def maximize(z: SimilarityMatrix) -> MaximizationResult:

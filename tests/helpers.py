@@ -14,7 +14,8 @@ from maxdiv import (
     solve_weighting_space,
 )
 from maxdiv.kernels import UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, _classify_group, _subset_groups
-from maxdiv.maximize import TIE_RTOL, FeasibleSubset
+from maxdiv.linalg import TIE_RTOL
+from maxdiv.maximize import FeasibleSubset
 
 # Three-species community (one newt, two similar frogs).  The unique
 # weighting is (55/79, 30/79, 30/79), giving magnitude 115/79 and the
@@ -126,6 +127,16 @@ def random_duplicated_psd(rng, n):
     assignment = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
     rng.shuffle(assignment)
     return SimilarityMatrix(base[np.ix_(assignment, assignment)])
+
+
+def near_duplicate_gram(rng, n):
+    """Gram matrix of nonnegative vectors in which species copy others up to
+    a relative perturbation below 1e-9: the copies' rows are tight within
+    SOLVE_TOL, so many singular subsets sit at the edge of the row
+    reduction's tolerances."""
+    g = rng.uniform(0.05, 1.0, size=(int(rng.integers(1, n)), n))
+    g = g[:, rng.integers(0, n, size=n)] * (1.0 + rng.uniform(-1e-9, 1e-9, size=n))
+    return SimilarityMatrix(g.T @ g)
 
 
 def zero_weight_duplicates(rng):

@@ -56,6 +56,13 @@ class TestDiversityCommand:
         result = runner.invoke(main, ["diversity", "--matrix", m, "--abundances", a, "-q", "1"])
         assert result.exit_code == 2
 
+    def test_bad_order_exit_2(self, runner, tmp_path):
+        m = _write(tmp_path, "z.csv", "1,0\n0,1\n")
+        a = _write(tmp_path, "p.csv", "0.5,0.5\n")
+        result = runner.invoke(main, ["diversity", "--matrix", m, "--abundances", a, "-q", "-1"])
+        assert result.exit_code == 2
+        assert "error: bad order '-1'" in result.output
+
 
 class TestProfileCommand:
     def test_constant_profile(self, runner, tmp_path):
@@ -151,6 +158,16 @@ class TestMaximizeCommand:
     def test_missing_file_exit_2(self, runner):
         result = runner.invoke(main, ["maximize", "--matrix", "/nonexistent.csv"])
         assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["maximize", "diagnose"])
+def test_maximum_beyond_float64_exit_4(runner, tmp_path, command):
+    # Dmax of 1e-310·I is 2e310, which float64 cannot hold
+    m = _write(tmp_path, "z.csv", "1e-310,0\n0,1e-310\n")
+    result = runner.invoke(main, [command, "--matrix", m])
+    assert result.exit_code == 4
+    assert "error: " in result.output and "beyond the float64 range" in result.output
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("command", ["maximize", "diversity"])

@@ -331,3 +331,23 @@ def _random_nonsym(rng, n):
     a = rng.uniform(0.0, 1.0, size=(n, n))
     np.fill_diagonal(a, 1.0)
     return SimilarityMatrix(a)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: Distribution([[0.5, 0.5]]), InputError),
+        (lambda: Distribution([math.nan, 1.0]), InputError),
+        (lambda: power_mean(uniform(2), [1.0, 2.0, 3.0], 1.0), InputError),
+        (lambda: power_mean(uniform(2), [1.0, 2.0], math.nan), InputError),
+        # Z_00·p_0 = 1e-300·1e-300 underflows to 0 on the support
+        (lambda: diversity(SimilarityMatrix(np.diag([1e-300, 1.0])), Distribution([1e-300, 1.0]), 2.0), InputError),
+        (lambda: diversity_profile(SimilarityMatrix(np.eye(2)), uniform(2), ()), InputError),
+        (lambda: extend_by_zero(uniform(2), [0, 1, 2], 4), PreconditionError),
+    ],
+    ids=["not-a-vector", "nan-entry", "power-mean-length", "power-mean-nan-order",
+         "ordinariness-underflow", "empty-order-grid", "extension-size"],
+)
+def test_invalid_input_is_refused(call, error):
+    with pytest.raises(error):
+        call()

@@ -244,3 +244,18 @@ class TestEpsilonEntropy:
                 fn(m, math.nan)
         res = epsilon_entropy_bounds(m, math.inf)
         assert (res.covering_number, res.dmax_of_threshold, res.covering_number_half) == (1, 1.0, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ReflexiveGraph(0),
+        lambda: FiniteMetric([[0.0, 1.0]]),
+        lambda: FiniteMetric([[0.0, math.inf], [math.inf, 0.0]]),
+        lambda: FiniteMetric([[0.0, -1.0], [-1.0, 0.0]]),
+    ],
+    ids=["no-vertex", "not-square", "infinite-distance", "negative-distance"],
+)
+def test_invalid_input_is_refused(call):
+    with pytest.raises(InputError):
+        call()

@@ -138,3 +138,22 @@ class TestRoundTrips:
         m = random_planar_metric(np.random.default_rng(7), 5)
         back = parse_metric(_csv(m.dist))
         assert np.array_equal(back.dist, m.dist)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: parse_matrix("\n\n"),
+        lambda: parse_graph("0\n"),
+        lambda: parse_graph("3\n1 2 3\n"),
+        lambda: parse_graph("3\n1 x\n"),
+        lambda: parse_abundances(" \n"),
+        lambda: parse_abundances("0.5,0.25\n0.25\n"),
+        lambda: parse_abundances("0\n0\n", normalize=True),
+    ],
+    ids=["empty-matrix", "no-vertex", "three-field-edge", "non-integer-vertex",
+         "empty-abundances", "two-values-on-a-line", "zero-sum-normalized"],
+)
+def test_invalid_input_is_refused(call):
+    with pytest.raises(ParseError):
+        call()

@@ -8,12 +8,14 @@ import pytest
 from maxdiv import (
     Distribution,
     InputError,
+    NumericalError,
     PreconditionError,
     ReflexiveGraph,
     SimilarityMatrix,
     adjacency_matrix,
     diversity,
     find_nonnegative_weighting,
+    find_positive_weighting,
     full_support_diagnostics,
     is_invariant,
     is_positive_semidefinite,
@@ -25,8 +27,8 @@ from maxdiv import (
     uniform,
 )
 from maxdiv.kernels import DOMINATED, UNIQUE_NEG, UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, scan_subsets
-from maxdiv.linalg import SOLVE_TOL
-from maxdiv.maximize import SUBSET_CAP, TIE_RTOL
+from maxdiv.linalg import SOLVE_TOL, TIE_RTOL
+from maxdiv.maximize import SUBSET_CAP
 
 from helpers import (
     ALL_ONES_2,
@@ -58,6 +60,15 @@ class TestNormalizeWeighting:
         assert np.array_equal(p.probs, [0.5, 0.25, 0.25])
         with pytest.raises(InputError):
             normalize_weighting(np.zeros(2), [0, 1], 2)
+
+    @pytest.mark.parametrize(
+        "w, subset, n",
+        [(np.ones(3), [0, 1], 3), (np.array([1.0, -1e-6]), [0, 1], 2)],
+        ids=["wrong-length", "negative-entry"],
+    )
+    def test_refuses_invalid_weightings(self, w, subset, n):
+        with pytest.raises(InputError):
+            normalize_weighting(w, subset, n)
 
     def test_three_species_published_value(self):
         w = np.linalg.solve(THREE_SPECIES, np.ones(3))
@@ -444,8 +455,12 @@ class TestPrunedSweep:
         assert indices == [(0, 3), (1, 3), (0, 1, 3)]
         assert not r.winners[2].weighting_space.unique
         assert r.winners[2].weighting_space.nonnegative.tolist() == [1.0, 0.0, 1.0]
-        # its own solve gives 1.9999999997; it reports the magnitude of T
+        # its own solve gives 1.9999999997; it reports the magnitude of T, in
+        # its weighting space too, and w_T extended by zero as its particular
         assert r.winners[2].magnitude == r.winners[0].magnitude == 2.0
+        for fs in r.winners:
+            assert fs.magnitude == fs.weighting_space.magnitude
+            assert np.array_equal(fs.weighting_space.particular, fs.weighting_space.nonnegative)
         # the reference weights {0, 1, 3} by its own particular solution,
         # which differs from w_T by the 3e-10 slack of row 1; {0, 1, 3} is
         # the smallest-index winner, so the sample maximizers differ by as much
@@ -563,6 +578,14 @@ class TestColumnSumBound:
         ]
         assert logger.handlers == handlers
         assert capsys.readouterr() == ("", "")
+
+    def test_sweep_counts_statuses_only_when_debug_is_on(self, monkeypatch, caplog):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scan statuses counted with DEBUG off")
+
+        monkeypatch.setattr(np, "bincount", refuse)
+        with caplog.at_level(logging.INFO, logger="maxdiv"):
+            maximize_exhaustive(path_adjacency(5))
 
 
 class TestFastPath:
@@ -728,3 +751,20 @@ class TestScaleFree:
         r = maximize(SimilarityMatrix(4.0 * z.values))
         assert r.method == "positive-semidefinite"
         assert r.dmax == maximize(z).dmax / 4.0
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize(
+        "fn",
+        [maximize, maximize_exhaustive, maximize_fast_path, full_support_diagnostics, find_positive_weighting],
+    )
+    def test_maximum_beyond_float64_is_refused(self, fn):
+        # Dmax of 1e-310·I is 2e310: refused, not an OverflowError or an inf
+        with pytest.raises(NumericalError, match="beyond the float64 range"):
+            fn(SimilarityMatrix(1e-310 * np.eye(2)))
+
+    def test_small_maximum_within_float64_is_kept(self):
+        z = SimilarityMatrix(1e-300 * np.eye(2))
+        for r in (maximize(z), maximize_exhaustive(z)):
+            assert r.dmax == pytest.approx(2e300, rel=1e-15)
+            assert all(fs.magnitude == fs.weighting_space.magnitude for fs in r.winners)

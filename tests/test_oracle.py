@@ -228,3 +228,16 @@ class TestRefine:
                 val = diversity(z, refine(z, q, start), q)
                 assert val <= dmax + 1e-9
                 assert val >= dmax - 1e-6
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: grid_max_multi(SimilarityMatrix(np.eye(3)), [2.0], GridSpec(2, 4)),
+        lambda: refine(SimilarityMatrix(np.eye(3)), 2.0, uniform(2)),
+    ],
+    ids=["grid-size", "start-size"],
+)
+def test_invalid_input_is_refused(call):
+    with pytest.raises(InputError):
+        call()

@@ -35,6 +35,7 @@ from maxdiv import (
 
 from helpers import (
     assert_same_result,
+    near_duplicate_gram,
     random_distribution,
     random_duplicated_psd,
     random_graph,
@@ -212,6 +213,26 @@ def test_swept_uniqueness_follows_the_winners_weightings(z):
         for p in reps:
             for q in SPECIAL_ORDERS:
                 assert math.isclose(diversity(z, p, q), r.dmax, rel_tol=1e-9), (p.probs, q)
+
+
+@st.composite
+def near_duplicate_matrices(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return near_duplicate_gram(rng, draw(st.integers(2, 8)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(z=st.one_of(family_matrices(), near_duplicate_matrices()))
+@example(z=random_duplicated_psd(np.random.default_rng(4), 8))
+def test_every_winner_has_one_magnitude(z):
+    # a winner's magnitude is its weighting space's, bit for bit, and a swept
+    # winner's particular is its representative (for a singular winner, w_T
+    # extended by zero, not its own solve's particular)
+    for r in (maximize(z), maximize_exhaustive(z)):
+        for fs in r.winners:
+            assert fs.magnitude == fs.weighting_space.magnitude, fs.indices
+            if r.method == "exhaustive":
+                assert np.array_equal(fs.weighting_space.particular, fs.weighting_space.nonnegative), fs.indices
 
 
 # perfbench's check_winners tolerance
