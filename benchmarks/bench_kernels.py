@@ -13,9 +13,10 @@ row also counts the subsets the scan classified, that is eliminated rather
 than skipped as ``DOMINATED`` by their column-sum bound, and adds a second
 time: one cold call, made after emptying the cache of the scan's subset
 tables (masks, member tables, membership bits), so that it builds them as
-the first scan at each n does.  Above n=16 the tables are not cached and
-every call is cold.  The LP row is the total time of
-``find_nonnegative_weighting`` over a fixed corpus
+the first scan at each n does.  Above n=16 only the 16-species tables are
+cached, so a cold call rebuilds them once and then shifts them into every
+block of the other species, as a warm call does.  The LP row is the total
+time of ``find_nonnegative_weighting`` over a fixed corpus
 (set by ``--seed`` alone) of duplicated-species weighting spaces on which
 the LP runs: full sets and random subsets, each as solved and shifted by
 ``-POSITIVITY_EPS`` as the positive-weighting search shifts it.  No
@@ -66,7 +67,8 @@ def time_call(fn, repeats=3):
 
 
 def cold_call(fn):
-    """One call of ``fn`` with the scan's subset tables uncached."""
+    """One call of ``fn`` with the scan's subset tables, the 16-species ones
+    included, uncached."""
     _cached_subset_groups.cache_clear()
     t0 = time.perf_counter()
     fn()

@@ -22,13 +22,15 @@ import click
 from .diversity import DEFAULT_ORDERS, check_order, diversity, diversity_profile
 from .errors import InputError, NumericalError, PreconditionError
 from .graphs import (
+    FiniteMetric,
     IrreflexiveGraph,
     ReflexiveGraph,
+    check_covering_size,
     clique_capacity,
     epsilon_entropy_bounds,
     independence_number,
 )
-from .io import parse_community, parse_graph, parse_matrix, parse_metric
+from .io import parse_community, parse_distances, parse_graph, parse_matrix
 from .linalg import is_strictly_diagonally_dominant, is_ultrametric, solve_weighting_space
 from .maximize import full_support_diagnostics, maximize
 
@@ -268,8 +270,9 @@ def capacity_cmd(ctx, graph_path, as_json):
 @_guarded
 def entropy_cmd(ctx, metric_path, epsilon, as_json):
     """Covering numbers sandwiching the thresholded maximum diversity."""
-    metric = parse_metric(_read(metric_path))
-    res = epsilon_entropy_bounds(metric, epsilon)
+    dist = parse_distances(_read(metric_path))
+    check_covering_size(dist.shape[0])  # before the metric's O(n³) triangle check
+    res = epsilon_entropy_bounds(FiniteMetric(dist), epsilon)
     if as_json:
         click.echo(json.dumps({
             "epsilon": epsilon,

@@ -211,14 +211,19 @@ def threshold_graph(metric: FiniteMetric, eps: float) -> ReflexiveGraph:
     return ReflexiveGraph(metric.n, edges)
 
 
+def check_covering_size(n: int) -> None:
+    """Refuse a covering search over more than ``METRIC_CAP`` points."""
+    if n > METRIC_CAP:
+        raise PreconditionError(f"metric size {n} exceeds the covering cap {METRIC_CAP}")
+
+
 def covering_number(metric: FiniteMetric, eps: float) -> int:
     """Fewest closed eps-balls covering the space, by brute-force set cover
     over at most ``METRIC_CAP`` points."""
     if not eps > 0:  # also refuses NaN
         raise InputError("eps must be positive")
     n = metric.n
-    if n > METRIC_CAP:
-        raise PreconditionError(f"metric size {n} exceeds the covering cap {METRIC_CAP}")
+    check_covering_size(n)
     balls = [sum(1 << j for j in range(n) if metric.dist[i, j] <= eps) for i in range(n)]
     full = (1 << n) - 1
     for k in range(1, n + 1):

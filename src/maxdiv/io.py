@@ -72,11 +72,18 @@ def parse_matrix(text: str) -> SimilarityMatrix:
         raise ParseError(str(exc)) from None
 
 
+def parse_distances(text: str) -> np.ndarray:
+    """Square array of floats from headerless CSV, not yet validated as a
+    metric: its size is known before :class:`FiniteMetric`'s O(n³)
+    triangle check runs."""
+    return np.array([r for _, r in _parse_square(text, "distance matrix")])
+
+
 def parse_metric(text: str) -> FiniteMetric:
     """Distance matrix from headerless CSV, validated as a metric."""
-    rows = _parse_square(text, "distance matrix")
+    dist = parse_distances(text)
     try:
-        return FiniteMetric(np.array([r for _, r in rows]))
+        return FiniteMetric(dist)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

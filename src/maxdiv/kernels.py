@@ -7,11 +7,11 @@ Two operations dominate runtime:
   classifying the outcome.  A subset whose column sums bound its magnitude
   below the largest one found so far is ``DOMINATED`` and never
   eliminated; on dense random matrices that is most of them.  The bound
-  comes from one product of Z with the subsets' membership bits, which
-  depend on n alone and, with the masks and member tables, are built once
-  per n up to ``_CACHED_N`` and then reused.  A subset the
-  scan cannot settle gets one of two codes: ``UNRESOLVED`` when
-  elimination meets a dead pivot (rank-deficient at ``PIVOT_RTOL``), and
+  comes from one product of Z with the subsets' membership bits, which,
+  with the masks and member tables, are cached for up to ``_CACHED_N``
+  species and shifted into every block of masks of any further species.
+  A subset the scan cannot settle gets one of two codes: ``UNRESOLVED``
+  when elimination meets a dead pivot (rank-deficient at ``PIVOT_RTOL``), and
   ``UNRELIABLE`` when it is full rank but its solution fails the residual
   gate.  The maximizer treats them differently: a singular subset can only
   tie a nonsingular one inside it, while an unreliable one may be a winner
@@ -50,53 +50,53 @@ DOMINATED = 4  # not eliminated: its column-sum bound cannot tie the maximum
 # Subset scan
 # ---------------------------------------------------------------------------
 
-def _subset_groups(n, block=65536):
+def _subset_groups(n):
     """Yield ``(masks, members, bits)`` for every nonempty subset of ``range(n)``.
 
-    Masks are walked in ascending blocks of ``block`` and each block is split
-    by popcount, so a group holds subsets of one size k: ``masks`` ascends,
-    ``members[j, b]`` is the j-th smallest element of subset ``masks[b]``
-    (int8, shape ``(k, len(masks))``, batch last) and ``bits[i, b]`` is 1.0
-    when species i is in it, else 0.0 (shape ``(n, len(masks))``).  A walk
-    holds one block at a time, but :func:`scan_subsets` keeps every group
-    for n up to ``_CACHED_N`` (see :func:`_cached_subset_groups`): there
-    memory is no longer bounded by the block.
+    A group holds the subsets of one size k: ascending ``masks``, the int8
+    ``members[j, b]``, the j-th smallest element of ``masks[b]`` (batch
+    last), and ``bits[i, b]``, 1.0 if species i is in it.  Up to
+    ``_CACHED_N`` species these are the cached tables; above, those of the
+    first ``_CACHED_N`` come once per pattern h of the rest, ascending,
+    after the lone subset h, with h OR'd in and its members and bits added.
     """
-    total = (1 << n) - 1
-    shifts = np.arange(n, dtype=np.int64)[:, None]
-    for lo in range(1, total + 1, block):
-        masks = np.arange(lo, min(lo + block, total + 1), dtype=np.int64)
-        sizes = ((masks >> shifts) & 1).sum(axis=0)
-        for k in range(1, n + 1):
-            group = masks[sizes == k]
-            if group.size == 0:
-                continue
-            members = np.empty((k, group.size), dtype=np.int8)
-            rest = group.copy()
-            for j in range(k):
-                low = rest & -rest  # lowest set bit; frexp gives its index exactly
-                members[j] = np.frexp(low)[1] - 1
-                rest ^= low
-            yield group, members, ((group >> shifts) & 1).astype(np.float64)
+    low = min(n, _CACHED_N)
+    groups = _cached_subset_groups(low)
+    if n == low:
+        yield from groups
+        return
+    empty = (np.zeros(1, np.int64), np.empty((0, 1), np.int8), np.zeros((low, 1)))
+    for high in range(1 << (n - low)):
+        high_bits = ((high >> np.arange(n - low)) & 1).astype(np.float64)[:, None]
+        high_members = (np.flatnonzero(high_bits) + low).astype(np.int8)[:, None]
+        for masks, members, bits in ((empty,) if high else ()) + groups:
+            yield (masks | (high << low), np.vstack([members, np.repeat(high_members, masks.size, 1)]),
+                   np.vstack([bits, np.repeat(high_bits, masks.size, 1)]))
 
 
-# Largest n whose subset groups scan_subsets keeps between calls, for the
-# last four n it met.  The groups depend on n alone and take 8(1 + n) bytes
-# a mask (int64 mask, float64 membership bits) plus one byte a member (int8
-# member table): 0.2 MB at n=11, 2.1 MB at n=14 and 9.4 MB at n=16, over
-# four times more for every two species.  Above the cap every call walks
-# them afresh, one block at a time.
+# Species whose subset tables are kept, for the last four n scanned: 2.1 MB at
+# n=14, 9.4 MB at n=16.  Above 16 the walk shifts the 16-species tables.
 _CACHED_N = 16
 
 
 @lru_cache(maxsize=4)
 def _cached_subset_groups(n: int) -> tuple:
-    """Every group of :func:`_subset_groups` for ``n <= _CACHED_N``, as
-    read-only arrays."""
-    groups = tuple(_subset_groups(n))
-    for tables in groups:
-        for table in tables:
-            table.setflags(write=False)
+    """The groups of :func:`_subset_groups` for ``n <= _CACHED_N``, one for
+    each size k = 1..n, as read-only arrays.  By Pascal's rule the k-subsets
+    of range(i + 1) are those of range(i), then the (k - 1)-subsets with i
+    added, so masks ascend and members sort with no bit arithmetic."""
+    levels = [(np.zeros(1, np.int64), np.empty((0, 1), np.int8))]  # the empty set
+    for i in range(n):
+        grown = [(masks | (1 << i), np.vstack([members, np.full((1, masks.size), i, np.int8)]))
+                 for masks, members in levels]
+        levels = levels[:1] + [(np.concatenate([masks, more]), np.hstack([members, extra]))
+                               for (masks, members), (more, extra) in zip(levels[1:], grown)] + grown[-1:]
+    # Every mask's bits at once: freeing this (n, 2^n) array lifts glibc's mmap
+    # threshold past the scan's temporaries (per group: 330 page faults an op).
+    bits = ((np.arange(1 << n) >> np.arange(n)[:, None]) & 1).astype(np.float64)  # column m: mask m
+    groups = tuple((masks, members, bits.take(masks, axis=1)) for masks, members in levels[1:])
+    for table in sum(groups, ()):
+        table.setflags(write=False)
     return groups
 
 
@@ -170,20 +170,20 @@ def scan_subsets(z: np.ndarray):
     ``UNRELIABLE`` (full rank, failed residual) and ``DOMINATED`` (skipped,
     see below); magnitudes are NaN for the last three.
 
-    Subsets are visited in ascending size within each block of masks, and
-    ``best`` is the largest ``UNIQUE_NONNEG`` magnitude so far.  Before a
-    group of size k is eliminated, each subset B gets the bound ``(k(1 +
-    SOLVE_TOL) + SOLVE_TOL·Σc) / min c`` from its column sums c_j =
-    Σ_{i∈B} Z_ij.  They come from the group's membership bits alone, with
-    no gather through its member table: ``Zᵀ bits`` holds c_j in every row
-    j, Σc is its sum over the member rows and min c its minimum with the
-    other rows masked to infinity.  A subset is ``DOMINATED`` when the
-    bound is below ``_tie_threshold(best)``, the lowest magnitude that can
-    tie a maximum of at least ``best``.  No winner is lost.  Let w be any
-    weighting of B that the maximizer can accept: residual |Z_B w - 1| <=
-    SOLVE_TOL and entries >= -SOLVE_TOL, whether the scan or a row
-    reduction found it, or it is a tying subset's w_T that the tight-row
-    closure extends by zero.
+    Subsets are visited in ascending size within each block of masks that
+    share the species past ``_CACHED_N`` (one block up to it), and ``best``
+    is the largest ``UNIQUE_NONNEG`` magnitude so far.  Before a group of
+    size k is eliminated, each subset B gets the bound ``(k(1 + SOLVE_TOL)
+    + SOLVE_TOL·Σc) / min c`` from its column sums c_j = Σ_{i∈B} Z_ij.
+    They come from the group's membership bits alone, with no gather
+    through its member table: ``Zᵀ bits`` holds c_j in every row j, Σc is
+    its sum over the member rows and min c its minimum with the other rows
+    masked to infinity.  A subset is ``DOMINATED`` when the bound is below
+    ``_tie_threshold(best)``, the lowest magnitude that can tie a maximum
+    of at least ``best``.  No winner is lost.  Let w be any weighting of B
+    that the maximizer can accept: residual |Z_B w - 1| <= SOLVE_TOL and
+    entries >= -SOLVE_TOL, whether the scan or a row reduction found it,
+    or it is a tying subset's w_T that the tight-row closure extends by zero.
     As Z >= 0, Σ_j c_j w_j = 1ᵀ Z_B w <= k(1 + SOLVE_TOL), and with w⁺ =
     max(w, 0), min c · 1ᵀw⁺ <= Σ_j c_j w⁺_j <= Σ_j c_j w_j + SOLVE_TOL·Σc.
     So 1ᵀw <= 1ᵀw⁺ is at most the bound: a dominated subset can neither tie
@@ -195,8 +195,7 @@ def scan_subsets(z: np.ndarray):
     status = np.full(total, DOMINATED, np.int8)
     mags = np.full(total, np.nan)
     best = -np.inf
-    groups = _cached_subset_groups(n) if n <= _CACHED_N else _subset_groups(n)
-    for masks, idx, bits in groups:
+    for masks, idx, bits in _subset_groups(n):
         k = idx.shape[0]
         # the column sums: non-members add exact zeros to Σc, in ascending
         # species order, so it sums the same values in the same order as

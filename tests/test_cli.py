@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from maxdiv.cli import main
-from maxdiv.graphs import GRAPH_CAP, IrreflexiveGraph
+from maxdiv.graphs import GRAPH_CAP, METRIC_CAP, FiniteMetric, IrreflexiveGraph
 from maxdiv.maximize import SUBSET_CAP
 
 from helpers import THREE_SPECIES
@@ -255,6 +255,17 @@ class TestGraphCommands:
             "covering_number_half": 3,
             "dmax_of_threshold": 2.0,  # the two ends are 2 apart
         }
+
+    def test_entropy_over_cap_exit_3(self, runner, tmp_path, monkeypatch):
+        def validate(self, dist):
+            raise AssertionError("triangle inequality checked before the cap check")
+
+        monkeypatch.setattr(FiniteMetric, "__init__", validate)
+        n = METRIC_CAP + 1
+        f = _write(tmp_path, "d.csv", "".join(",".join(str(abs(i - j)) for j in range(n)) + "\n" for i in range(n)))
+        result = runner.invoke(main, ["graph", "entropy", "--metric", f, "--epsilon", "1"])
+        assert result.exit_code == 3
+        assert f"metric size {n} exceeds the covering cap {METRIC_CAP}" in result.output
 
     def test_bad_graph_exit_2(self, runner, tmp_path):
         g = _write(tmp_path, "g.txt", "3\n1 9\n")

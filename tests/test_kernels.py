@@ -64,16 +64,18 @@ def test_numpy_scan_matches_scalar_loop():
     assert seen == {0, 1, 2, 3}
 
 
-@pytest.mark.parametrize("n, block", [(7, 10), (7, 128), (1, 10), (1, 65536)])
-def test_subset_groups_cover_every_mask_once(n, block):
+@pytest.mark.parametrize("n", [1, 7, 16, 17])
+def test_subset_groups_cover_every_mask_once(n):
+    # n=17 walks the 16-species tables once with species 16 out, once with it in
     seen = []
-    for masks, members, _ in _subset_groups(n, block):
+    for masks, members, bits in _subset_groups(n):
         k = members.shape[0]
         assert members.shape == (k, masks.size) and masks.size > 0
         assert np.all(np.diff(masks) > 0)
-        for mask, row in zip(masks.tolist(), members.T.tolist()):
-            assert bin(mask).count("1") == k
-            assert row == [i for i in range(n) if (mask >> i) & 1]
+        on = (masks[:, None] >> np.arange(n)) & 1
+        assert np.array_equal(on.sum(axis=1), np.full(masks.size, k))
+        assert np.array_equal(members.T, np.nonzero(on)[1].reshape(-1, k))
+        assert bits.dtype == np.float64 and np.array_equal(bits, on.T)
         seen.extend(masks.tolist())
     assert sorted(seen) == list(range(1, 2**n))
 
@@ -88,23 +90,32 @@ def test_cached_subset_groups_are_read_only():
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_cached_subset_groups_match_a_fresh_build(n):
+    # built mask by mask: the size from bin(), the members by listing the set bits
+    by_size = [[] for _ in range(n + 1)]
+    for mask in range(1, 2**n):
+        by_size[bin(mask).count("1")].append(mask)
     cached = _cached_subset_groups(n)
-    fresh = list(_subset_groups(n))
-    assert len(cached) == len(fresh)
-    for got, want in zip(cached, fresh):
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-    for masks, members, bits in cached:
-        assert bits.shape == (n, masks.size)
-        assert np.array_equal(bits.sum(axis=0), np.full(masks.size, members.shape[0]))
+    assert len(cached) == n
+    for k, group in enumerate(cached, start=1):
+        rows = [[i for i in range(n) if (mask >> i) & 1] for mask in by_size[k]]
+        bits = np.zeros((n, len(rows)))
+        for b, row in enumerate(rows):
+            bits[row, b] = 1.0
+        fresh = (np.array(by_size[k], dtype=np.int64), np.array(rows, dtype=np.int8).T, bits)
+        for got, want in zip(group, fresh):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
 def test_scan_above_the_cache_cap_streams():
-    # n=17 walks two blocks of masks; nothing of it stays in the cache
+    # n=17 keeps only the 16-species tables and shifts them into both blocks
     z = random_symmetric(np.random.default_rng(171), 17).values
     _cached_subset_groups.cache_clear()
     status, mags = scan_subsets(z)
-    assert _cached_subset_groups.cache_info().currsize == 0
+    info = _cached_subset_groups.cache_info()
+    assert info.currsize == 1
+    _cached_subset_groups(16)  # a hit: the one entry is the 16-species tables
+    assert _cached_subset_groups.cache_info().hits == info.hits + 1
     full_status, full_mags = scan_every_subset(z)
     kept = status != DOMINATED
     assert 0 < kept.sum() < 0.3 * status.size
@@ -401,14 +412,15 @@ def test_kernel_benchmark_script_runs():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH="src")
     res = subprocess.run(
-        [sys.executable, "benchmarks/bench_kernels.py", "--scan-sizes", "4", "--grid-sizes", "3", "--resolution", "5"],
+        [sys.executable, "benchmarks/bench_kernels.py", "--scan-sizes", "4,17", "--grid-sizes", "3", "--resolution", "5"],
         cwd=root, env=env, capture_output=True, text=True,
     )
     assert res.returncode == 0, res.stderr
     rows = [line for line in res.stdout.splitlines() if line.endswith("ms")]
-    assert len(rows) == 6
+    assert len(rows) == 7
     assert rows[0].startswith("subset scan n=4 ")
-    assert rows[1].startswith("lattice sweep n=3 m=5 ")
-    assert rows[2].startswith("phase-1 LP (200 duplicated-species weighting spaces")
-    for row, n in zip(rows[3:], (128, 256, 512)):
+    assert rows[1].startswith("subset scan n=17 ")
+    assert rows[2].startswith("lattice sweep n=3 m=5 ")
+    assert rows[3].startswith("phase-1 LP (200 duplicated-species weighting spaces")
+    for row, n in zip(rows[4:], (128, 256, 512)):
         assert row.startswith(f"ultrametric test n={n} (ultrametric input) ")
