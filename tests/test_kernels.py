@@ -64,9 +64,12 @@ def test_numpy_scan_matches_scalar_loop():
     assert seen == {0, 1, 2, 3}
 
 
-@pytest.mark.parametrize("n", [1, 7, 16, 17])
-def test_subset_groups_cover_every_mask_once(n):
-    # n=17 walks the 16-species tables once with species 16 out, once with it in
+@pytest.mark.parametrize("n, cap", [(7, 10), (7, 128), (1, 10), (1, 65536), (7, 3), (7, 1), (16, 16), (17, 16)])
+def test_subset_groups_cover_every_mask_once(monkeypatch, n, cap):
+    # cap is _CACHED_N: at or above n the cached tables come as they are;
+    # below it the cap's tables are walked once per pattern of the rest
+    # (n=17, cap=16: once with species 16 out, once with it in)
+    monkeypatch.setattr(kernels, "_CACHED_N", cap)
     seen = []
     for masks, members, bits in _subset_groups(n):
         k = members.shape[0]
