@@ -7,15 +7,15 @@ sweeps subsets otherwise, and the output names the route it took.
 Exit codes: 0 success, 2 input error (including an unreadable or unwritable
 file), 3 precondition violation (asymmetry, size caps), 4 numerical failure
 (including a result beyond the float64 range).  Every ``MaxdivError`` a
-command raises is printed as one ``error:`` line by :func:`_guarded`.
+command raises reaches the command group, which prints it as one ``error:``
+line and exits with its code; a file that cannot be read or written is one
+too, from :func:`_read` or ``profile``'s writer.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
-from functools import wraps
 
 import click
 
@@ -37,20 +37,6 @@ from .maximize import full_support_diagnostics, maximize
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
-
-
-def _guarded(fn):
-    codes = {InputError: EXIT_INPUT, PreconditionError: EXIT_PRECONDITION, NumericalError: EXIT_NUMERICAL}
-
-    @wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except tuple(codes) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(next(code for cls, code in codes.items() if isinstance(exc, cls)))
-
-    return wrapper
 
 
 def _read(path: str) -> str:
@@ -75,44 +61,54 @@ def _order_str(q: float) -> str:
     return "inf" if math.isinf(q) else repr(q) if q != int(q) else str(int(q))
 
 
-def _fmt(ctx, v: float) -> str:
-    return f"{v:.{ctx.obj['precision']}g}"
+def _fmt(v: float) -> str:
+    digits = max(1, click.get_current_context().find_root().params["precision"])
+    return f"{v:.{digits}g}"
 
 
 def _support_str(indices) -> str:
     return "{" + ",".join(str(i + 1) for i in indices) + "}"
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group: the one place where a ``MaxdivError`` from any
+    command, nested groups' included, becomes its ``error:`` line on stderr
+    and its exit code."""
+
+    def invoke(self, ctx):
+        codes = {InputError: EXIT_INPUT, PreconditionError: EXIT_PRECONDITION, NumericalError: EXIT_NUMERICAL}
+        try:
+            return super().invoke(ctx)
+        except tuple(codes) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(next(code for cls, code in codes.items() if isinstance(exc, cls)))
+
+
+@click.group(cls=_Group)
 @click.option("--precision", type=int, default=6, show_default=True, help="Significant digits for display.")
-@click.pass_context
-def main(ctx, precision):
+def main(precision):
     """Similarity-sensitive diversity: evaluate it, profile it, maximize it."""
-    ctx.obj = {"precision": max(1, precision)}
 
 
 @main.command("diversity")
-@click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--abundances", "abundance_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--matrix", "matrix_path", required=True, metavar="FILE")
+@click.option("--abundances", "abundance_path", required=True, metavar="FILE")
 @click.option("-q", "orders", multiple=True, required=True, help="Order q (repeatable); 'inf' allowed.")
 @click.option("--normalize", is_flag=True, help="Rescale abundances to sum to one before validating.")
-@click.pass_context
-@_guarded
-def diversity_cmd(ctx, matrix_path, abundance_path, orders, normalize):
+def diversity_cmd(matrix_path, abundance_path, orders, normalize):
     """Print the diversity of order q of a community."""
     z, p = parse_community(_read(matrix_path), _read(abundance_path), normalize=normalize)
     for text in orders:
         q = _parse_order(text)
-        click.echo(f"D_{_order_str(q)} = {_fmt(ctx, diversity(z, p, q))}")
+        click.echo(f"D_{_order_str(q)} = {_fmt(diversity(z, p, q))}")
 
 
 @main.command("profile")
-@click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--abundances", "abundance_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--matrix", "matrix_path", required=True, metavar="FILE")
+@click.option("--abundances", "abundance_path", required=True, metavar="FILE")
 @click.option("--orders", "orders_text", default=None, help="Comma-separated ascending orders (default grid otherwise).")
-@click.option("-o", "--output", type=click.Path(dir_okay=False), default=None, help="Write CSV here instead of stdout.")
+@click.option("-o", "--output", metavar="FILE", default=None, help="Write CSV here instead of stdout.")
 @click.option("--normalize", is_flag=True)
-@_guarded
 def profile_cmd(matrix_path, abundance_path, orders_text, output, normalize):
     """Write the diversity profile as CSV rows q,value."""
     z, p = parse_community(_read(matrix_path), _read(abundance_path), normalize=normalize)
@@ -152,42 +148,38 @@ def _maximization_json(result):
 
 
 @main.command("maximize")
-@click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--matrix", "matrix_path", required=True, metavar="FILE")
 @click.option("--families", is_flag=True, help="Describe the full weighting space of every winner.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output at full precision.")
-@click.pass_context
-@_guarded
-def maximize_cmd(ctx, matrix_path, families, as_json):
+def maximize_cmd(matrix_path, families, as_json):
     """Maximum diversity, winning subsets, and a maximizing distribution."""
     result = maximize(parse_matrix(_read(matrix_path)))
     if as_json:
         click.echo(json.dumps(_maximization_json(result), indent=2))
         return
-    click.echo(f"dmax: {_fmt(ctx, result.dmax)}")
+    click.echo(f"dmax: {_fmt(result.dmax)}")
     click.echo(f"method: {result.method}")
     uniq = {True: "yes", False: "no", None: "not certified"}[result.unique]
     click.echo(f"unique maximizer: {uniq}")
     click.echo(f"winners: {len(result.winners)}")
     for fs in result.winners:
-        click.echo(f"  support {_support_str(fs.indices)}  magnitude {_fmt(ctx, fs.magnitude)}")
+        click.echo(f"  support {_support_str(fs.indices)}  magnitude {_fmt(fs.magnitude)}")
         if families:
             ws = fs.weighting_space
-            click.echo("    representative weighting: " + ", ".join(_fmt(ctx, v) for v in ws.nonnegative))
+            click.echo("    representative weighting: " + ", ".join(_fmt(v) for v in ws.nonnegative))
             if ws.nullspace.shape[0] == 0:
                 click.echo("    kernel: trivial (unique weighting)")
             for vec in ws.nullspace:
-                click.echo("    kernel direction: " + ", ".join(_fmt(ctx, v) for v in vec))
-    click.echo("sample maximizer: " + ", ".join(_fmt(ctx, v) for v in result.sample_maximizer.probs))
+                click.echo("    kernel direction: " + ", ".join(_fmt(v) for v in vec))
+    click.echo("sample maximizer: " + ", ".join(_fmt(v) for v in result.sample_maximizer.probs))
     click.echo(f"full-support maximizer exists: {'yes' if result.full_support_exists else 'no'}")
     click.echo(f"all maximizers full support: {'yes' if result.all_maximizers_full_support else 'no'}")
 
 
 @main.command("diagnose")
-@click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--matrix", "matrix_path", required=True, metavar="FILE")
 @click.option("--json", "as_json", is_flag=True)
-@click.pass_context
-@_guarded
-def diagnose_cmd(ctx, matrix_path, as_json):
+def diagnose_cmd(matrix_path, as_json):
     """Matrix-class predicates and species-preservation findings."""
     z = parse_matrix(_read(matrix_path))
     diag = full_support_diagnostics(z)  # refuses asymmetry before any reduction
@@ -211,18 +203,18 @@ def diagnose_cmd(ctx, matrix_path, as_json):
     yn = lambda b: "yes" if b else "no"
     click.echo(f"symmetric: {yn(info['symmetric'])}")
     click.echo(f"positive semidefinite: {yn(info['positive_semidefinite'])}"
-               f" (min eigenvalue {_fmt(ctx, info['min_eigenvalue'])}, floor {_fmt(ctx, info['eigenvalue_floor'])})")
+               f" (min eigenvalue {_fmt(info['min_eigenvalue'])}, floor {_fmt(info['eigenvalue_floor'])})")
     click.echo(f"positive definite: {yn(info['positive_definite'])}")
     click.echo(f"ultrametric: {yn(info['ultrametric'])}")
     click.echo(f"strictly diagonally dominant: {yn(info['strictly_diagonally_dominant'])}")
     if info["magnitude"] is None:
         click.echo("magnitude: undefined (no weighting)")
     else:
-        click.echo(f"magnitude: {_fmt(ctx, info['magnitude'])}")
+        click.echo(f"magnitude: {_fmt(info['magnitude'])}")
     if info["positive_weighting"] is None:
         click.echo("positive weighting: none")
     else:
-        click.echo("positive weighting: " + ", ".join(_fmt(ctx, v) for v in info["positive_weighting"]))
+        click.echo("positive weighting: " + ", ".join(_fmt(v) for v in info["positive_weighting"]))
     click.echo(f"full-support maximizer exists: {yn(info['full_support_maximizer_exists'])}")
     click.echo(f"all maximizers full support: {yn(info['all_maximizers_full_support'])}")
 
@@ -233,8 +225,7 @@ def graph_group():
 
 
 @graph_group.command("alpha")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@_guarded
+@click.option("--graph", "graph_path", required=True, metavar="FILE")
 def alpha_cmd(graph_path):
     """Independence number of a reflexive graph (= its maximum diversity)."""
     n, edges = parse_graph(_read(graph_path))
@@ -242,11 +233,9 @@ def alpha_cmd(graph_path):
 
 
 @graph_group.command("capacity")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--graph", "graph_path", required=True, metavar="FILE")
 @click.option("--json", "as_json", is_flag=True)
-@click.pass_context
-@_guarded
-def capacity_cmd(ctx, graph_path, as_json):
+def capacity_cmd(graph_path, as_json):
     """Clique capacity of a loop-free graph, with a witness distribution."""
     n, edges = parse_graph(_read(graph_path))
     res = clique_capacity(IrreflexiveGraph(n, edges))
@@ -257,18 +246,16 @@ def capacity_cmd(ctx, graph_path, as_json):
             "witness": list(res.witness.probs),
         }, indent=2))
         return
-    click.echo(f"capacity: {_fmt(ctx, res.value)}")
+    click.echo(f"capacity: {_fmt(res.value)}")
     click.echo(f"maximum clique: {_support_str(res.clique)}")
-    click.echo("witness: " + ", ".join(_fmt(ctx, v) for v in res.witness.probs))
+    click.echo("witness: " + ", ".join(_fmt(v) for v in res.witness.probs))
 
 
 @graph_group.command("entropy")
-@click.option("--metric", "metric_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--metric", "metric_path", required=True, metavar="FILE")
 @click.option("--epsilon", type=float, required=True)
 @click.option("--json", "as_json", is_flag=True)
-@click.pass_context
-@_guarded
-def entropy_cmd(ctx, metric_path, epsilon, as_json):
+def entropy_cmd(metric_path, epsilon, as_json):
     """Covering numbers sandwiching the thresholded maximum diversity."""
     dist = parse_distances(_read(metric_path))
     check_covering_size(dist.shape[0])  # before the metric's O(n³) triangle check
@@ -282,7 +269,7 @@ def entropy_cmd(ctx, metric_path, epsilon, as_json):
         }, indent=2))
         return
     click.echo(f"N(d, eps)   = {res.covering_number}")
-    click.echo(f"Dmax(Z^eps) = {_fmt(ctx, res.dmax_of_threshold)}")
+    click.echo(f"Dmax(Z^eps) = {_fmt(res.dmax_of_threshold)}")
     click.echo(f"N(d, eps/2) = {res.covering_number_half}")
 
 

@@ -10,6 +10,7 @@ a finite metric at distance eps gives the covering-number sandwich.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .diversity import Distribution
 from .errors import InputError, NumericalError, PreconditionError
-from .linalg import SimilarityMatrix
+from .linalg import SimilarityMatrix, _check_integer
 
 # Largest graph the independent-set search accepts.
 GRAPH_CAP = 30
@@ -27,12 +28,15 @@ METRIC_CAP = 20
 _METRIC_TOL = 1e-12
 
 
-def _check_edges(n, edges, kind):
+def _init_graph(g, n, edges, kind):
+    """Validate the vertex count and edges of a ``kind`` graph and set them
+    on ``g``: the constructor of both graph classes."""
+    n = _check_integer(n, "vertex count")
     if n < 1:
         raise InputError("graph needs at least one vertex")
     out = set()
     for e in edges:
-        i, j = (int(v) for v in e)
+        i, j = (_check_integer(v, "vertex") for v in e)
         if not (0 <= i < n and 0 <= j < n):
             raise InputError(f"edge ({i}, {j}) out of range for n={n}")
         if i == j:
@@ -40,7 +44,8 @@ def _check_edges(n, edges, kind):
                 f"edge ({i}, {i}) is a loop; loops are implicit in a {kind} graph"
             )
         out.add((min(i, j), max(i, j)))
-    return frozenset(out)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "edges", frozenset(out))
 
 
 def _missing_edges(g):
@@ -57,8 +62,7 @@ class ReflexiveGraph:
     edges: frozenset
 
     def __init__(self, n: int, edges=()):
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "edges", _check_edges(int(n), edges, "reflexive"))
+        _init_graph(self, n, edges, "reflexive")
 
     def complement(self) -> "IrreflexiveGraph":
         return IrreflexiveGraph(self.n, _missing_edges(self))
@@ -72,8 +76,7 @@ class IrreflexiveGraph:
     edges: frozenset
 
     def __init__(self, n: int, edges=()):
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "edges", _check_edges(int(n), edges, "loop-free"))
+        _init_graph(self, n, edges, "loop-free")
 
     def complement(self) -> ReflexiveGraph:
         return ReflexiveGraph(self.n, _missing_edges(self))
@@ -202,10 +205,14 @@ class FiniteMetric:
         return self.dist.shape[0]
 
 
+def _check_eps(eps) -> None:
+    if not (isinstance(eps, numbers.Real) and eps > 0):  # also refuses NaN
+        raise InputError("eps must be positive")
+
+
 def threshold_graph(metric: FiniteMetric, eps: float) -> ReflexiveGraph:
     """Reflexive graph joining points at distance <= eps."""
-    if not eps > 0:  # also refuses NaN
-        raise InputError("eps must be positive")
+    _check_eps(eps)
     d = metric.dist
     edges = [(i, j) for i, j in combinations(range(metric.n), 2) if d[i, j] <= eps]
     return ReflexiveGraph(metric.n, edges)
@@ -220,8 +227,7 @@ def check_covering_size(n: int) -> None:
 def covering_number(metric: FiniteMetric, eps: float) -> int:
     """Fewest closed eps-balls covering the space, by brute-force set cover
     over at most ``METRIC_CAP`` points."""
-    if not eps > 0:  # also refuses NaN
-        raise InputError("eps must be positive")
+    _check_eps(eps)
     n = metric.n
     check_covering_size(n)
     balls = [sum(1 << j for j in range(n) if metric.dist[i, j] <= eps) for i in range(n)]

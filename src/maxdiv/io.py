@@ -11,7 +11,6 @@ import numpy as np
 
 from .diversity import Distribution
 from .errors import ParseError
-from .graphs import FiniteMetric
 from .linalg import SimilarityMatrix
 
 # Ingested abundances below this are rounded to exact zero so that support
@@ -74,18 +73,9 @@ def parse_matrix(text: str) -> SimilarityMatrix:
 
 def parse_distances(text: str) -> np.ndarray:
     """Square array of floats from headerless CSV, not yet validated as a
-    metric: its size is known before :class:`FiniteMetric`'s O(n³)
+    metric: its size is known before ``graphs.FiniteMetric``'s O(n³)
     triangle check runs."""
     return np.array([r for _, r in _parse_square(text, "distance matrix")])
-
-
-def parse_metric(text: str) -> FiniteMetric:
-    """Distance matrix from headerless CSV, validated as a metric."""
-    dist = parse_distances(text)
-    try:
-        return FiniteMetric(dist)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
 
 
 def parse_graph(text: str):

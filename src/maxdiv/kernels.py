@@ -119,16 +119,14 @@ def _classify_group(z: np.ndarray, idx: np.ndarray):
     # Dead pivots give UNRESOLVED and bad residuals UNRELIABLE, which the
     # caller settles without a row reduction per subset.
     n = z.shape[0]
-    k, nb = idx.shape
-    if nb == 1:
-        # numpy sums an (m, nb) array along an axis in index order, one row
-        # at a time, but pairwise once nb = 1 collapses the batch axis.  So
-        # a lone subset is classified as two copies of itself: its three
-        # sums (back-substitution, residual, magnitude) then run in the same
-        # order as in any wider group, and its result depends on it alone.
-        status, mags = _classify_group(z, np.repeat(idx, 2, axis=1))
-        return status[:1], mags[:1]
-    ix = idx.astype(np.intp)  # the member table is int8
+    # numpy sums an (m, nb) array along an axis in index order, one row at a
+    # time, but pairwise once nb = 1 collapses the batch axis.  So the batch
+    # gets one more column, a copy of the first subset, that is dropped at
+    # the end: a lone subset's three sums (back-substitution, residual,
+    # magnitude) then run in the same order as in any wider group, and every
+    # subset's result depends on it alone.
+    ix = np.concatenate([idx, idx[:, :1]], axis=1, dtype=np.intp)  # the member table is int8
+    k, nb = ix.shape
     sub = z.take(ix[:, None, :] * n + ix[None, :, :])
     a = np.empty((k, k + 1, nb))
     a[:, :k] = sub
@@ -157,7 +155,7 @@ def _classify_group(z: np.ndarray, idx: np.ndarray):
         [UNRESOLVED, UNRELIABLE, UNIQUE_NONNEG],
         UNIQUE_NEG,
     )
-    return status, np.where(bad, np.nan, w.sum(axis=0))
+    return status[:-1], np.where(bad, np.nan, w.sum(axis=0))[:-1]
 
 
 def scan_subsets(z: np.ndarray):

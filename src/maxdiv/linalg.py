@@ -178,11 +178,24 @@ def _solve_affine(a: np.ndarray, b: np.ndarray):
     return None, nullspace
 
 
+def _check_integer(value, what: str) -> int:
+    """``value`` as an int when it is one, a numpy integer or an integral
+    float; anything else, a fraction or a numeric string, is refused rather
+    than truncated."""
+    try:
+        i = int(value)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != value:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return i
+
+
 def _check_subset(n: int, subset) -> tuple[int, ...]:
     """The indices of ``subset`` in ascending order, after checking that they
-    are nonempty, distinct and in ``range(n)``.  A vector paired with a subset
-    follows this order."""
-    idx = tuple(int(i) for i in subset)
+    are integers, nonempty, distinct and in ``range(n)``.  A vector paired
+    with a subset follows this order."""
+    idx = tuple(_check_integer(i, "subset index") for i in subset)
     if not idx:
         raise PreconditionError("subset must be nonempty")
     if len(set(idx)) != len(idx):

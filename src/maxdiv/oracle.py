@@ -17,7 +17,7 @@ import numpy as np
 from .diversity import Distribution, _normalized, check_order, diversity
 from .errors import InputError, PreconditionError
 from .kernels import grid_best
-from .linalg import SimilarityMatrix
+from .linalg import SimilarityMatrix, _check_integer
 
 # Largest lattice the oracle sweeps: n species at resolution m.
 ORACLE_N_CAP = 6
@@ -35,6 +35,8 @@ class GridSpec:
     resolution: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _check_integer(self.n, "grid n"))
+        object.__setattr__(self, "resolution", _check_integer(self.resolution, "grid resolution"))
         if self.n < 1 or self.resolution < 1:
             raise InputError("grid needs n >= 1 and resolution >= 1")
         if self.n > ORACLE_N_CAP or self.resolution > ORACLE_M_CAP:

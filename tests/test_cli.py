@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from maxdiv.cli import main
+from maxdiv.errors import NumericalError
 from maxdiv.graphs import GRAPH_CAP, METRIC_CAP, FiniteMetric, IrreflexiveGraph
 from maxdiv.maximize import SUBSET_CAP
 
@@ -100,6 +101,13 @@ class TestProfileCommand:
         assert f"error: cannot write {out}" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
+    def test_output_to_a_directory_exit_2(self, runner, tmp_path):
+        args = _command_line(tmp_path, ("profile",), {}) + ["-o", str(tmp_path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: cannot write {tmp_path}: ")
+        assert "Usage:" not in result.output
+
 
 class TestMaximizeCommand:
     def test_three_species(self, runner, tmp_path):
@@ -183,6 +191,54 @@ def test_undecodable_file_exit_2(runner, tmp_path, command):
     assert result.exit_code == 2
     assert f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff" in result.output
     assert "Traceback" not in result.output
+
+
+# every leaf command: the text of each of its file options, then its other
+# required arguments
+COMMANDS = {
+    ("diversity",): ({"--matrix": "1,0\n0,1\n", "--abundances": "0.5,0.5\n"}, ["-q", "1"]),
+    ("profile",): ({"--matrix": "1,0\n0,1\n", "--abundances": "0.5,0.5\n"}, []),
+    ("maximize",): ({"--matrix": "1,0\n0,1\n"}, []),
+    ("diagnose",): ({"--matrix": "1,0\n0,1\n"}, []),
+    ("graph", "alpha"): ({"--graph": PATH4_GRAPH}, []),
+    ("graph", "capacity"): ({"--graph": PATH4_GRAPH}, []),
+    ("graph", "entropy"): ({"--metric": "0,1\n1,0\n"}, ["--epsilon", "1"]),
+}
+
+
+def _command_line(tmp_path, command, replaced):
+    # each file option gets a readable file unless ``replaced`` names its path
+    files, rest = COMMANDS[command]
+    args = list(command)
+    for i, (option, text) in enumerate(files.items()):
+        args += [option, replaced.get(option) or _write(tmp_path, f"in{i}.txt", text)]
+    return args + rest
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize(
+    "command, option",
+    [pytest.param(c, o, id="-".join(c) + o) for c, (files, _) in COMMANDS.items() for o in files],
+)
+def test_unreadable_file_is_one_error_line(runner, tmp_path, command, option, kind):
+    bad = tmp_path / "absent.csv" if kind == "missing" else tmp_path
+    result = runner.invoke(main, _command_line(tmp_path, command, {option: str(bad)}))
+    assert result.exit_code == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {bad}: ")
+    assert "Usage:" not in result.output
+
+
+@pytest.mark.parametrize("command", list(COMMANDS), ids="-".join)
+def test_numerical_error_reaches_the_group(runner, tmp_path, monkeypatch, command):
+    def read(path):
+        raise NumericalError("pivot cap reached")
+
+    args = _command_line(tmp_path, command, {})
+    monkeypatch.setattr(importlib.import_module("maxdiv.cli"), "_read", read)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 4
+    assert result.stderr == "error: pivot cap reached\n"
 
 
 class TestDiagnoseCommand:

@@ -344,9 +344,16 @@ def _random_nonsym(rng, n):
         (lambda: diversity(SimilarityMatrix(np.diag([1e-300, 1.0])), Distribution([1e-300, 1.0]), 2.0), InputError),
         (lambda: diversity_profile(SimilarityMatrix(np.eye(2)), uniform(2), ()), InputError),
         (lambda: extend_by_zero(uniform(2), [0, 1, 2], 4), PreconditionError),
+        # subset indices are refused, not truncated, unless integral
+        (lambda: solve_weighting_space(SimilarityMatrix(np.eye(2)), [0.5, 1]), InputError),
+        (lambda: restrict(uniform(2), [0, 1.5]), InputError),
+        (lambda: extend_by_zero(uniform(2), [0, "1"], 3), InputError),
+        (lambda: normalize_weighting([1.0, 1.0], [0, 2.5], 3), InputError),
     ],
     ids=["not-a-vector", "nan-entry", "power-mean-length", "power-mean-nan-order",
-         "ordinariness-underflow", "empty-order-grid", "extension-size"],
+         "ordinariness-underflow", "empty-order-grid", "extension-size",
+         "fractional-solve-index", "fractional-restrict-index", "string-extension-index",
+         "fractional-weighting-index"],
 )
 def test_invalid_input_is_refused(call, error):
     with pytest.raises(error):

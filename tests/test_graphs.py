@@ -253,8 +253,16 @@ class TestEpsilonEntropy:
         lambda: FiniteMetric([[0.0, 1.0]]),
         lambda: FiniteMetric([[0.0, math.inf], [math.inf, 0.0]]),
         lambda: FiniteMetric([[0.0, -1.0], [-1.0, 0.0]]),
+        lambda: ReflexiveGraph(3.7),
+        lambda: ReflexiveGraph(3, [(0.5, 1)]),
+        lambda: IrreflexiveGraph(3, [(0, "1")]),
+        lambda: covering_number(FiniteMetric([[0.0]]), "1"),
+        lambda: threshold_graph(FiniteMetric([[0.0]]), "1"),
+        lambda: epsilon_entropy_bounds(FiniteMetric([[0.0]]), "1"),
     ],
-    ids=["no-vertex", "not-square", "infinite-distance", "negative-distance"],
+    ids=["no-vertex", "not-square", "infinite-distance", "negative-distance",
+         "fractional-vertex-count", "fractional-vertex", "string-vertex",
+         "string-covering-eps", "string-threshold-eps", "string-entropy-eps"],
 )
 def test_invalid_input_is_refused(call):
     with pytest.raises(InputError):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from maxdiv import Distribution, ParseError
+from maxdiv import Distribution, FiniteMetric, InputError, ParseError
 from maxdiv.io import (
     parse_abundances,
     parse_community,
+    parse_distances,
     parse_graph,
     parse_matrix,
-    parse_metric,
 )
 
 from helpers import THREE_SPECIES, random_planar_metric
@@ -100,12 +100,12 @@ class TestParseAbundances:
 
 class TestParseMetric:
     def test_valid(self):
-        m = parse_metric("0,1\n1,0\n")
+        m = FiniteMetric(parse_distances("0,1\n1,0\n"))
         assert m.n == 2
 
     def test_triangle_violation(self):
-        with pytest.raises(ParseError):
-            parse_metric("0,1,3\n1,0,1\n3,1,0\n")
+        with pytest.raises(InputError, match="triangle inequality fails"):
+            FiniteMetric(parse_distances("0,1,3\n1,0,1\n3,1,0\n"))
 
 
 def _csv(rows):
@@ -136,7 +136,7 @@ class TestRoundTrips:
 
     def test_metric(self):
         m = random_planar_metric(np.random.default_rng(7), 5)
-        back = parse_metric(_csv(m.dist))
+        back = FiniteMetric(parse_distances(_csv(m.dist)))
         assert np.array_equal(back.dist, m.dist)
 
 

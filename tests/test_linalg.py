@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from maxdiv import (
+    GridSpec,
     InputError,
     PreconditionError,
+    ReflexiveGraph,
     SimilarityMatrix,
     adjacency_matrix,
     find_nonnegative_weighting,
@@ -682,3 +684,15 @@ class TestEliminationParity:
                 found += 1
                 assert np.array_equal(w, ref)
         assert found >= 100 and len(cases) - found >= 50
+
+
+def test_integral_floats_and_numpy_integers_are_accepted():
+    # the integer check refuses only what it would otherwise truncate
+    z = SimilarityMatrix(THREE_SPECIES)
+    ws, ref = solve_weighting_space(z, [np.int64(2), 0.0]), solve_weighting_space(z, [0, 2])
+    assert ws.subset == (0, 2) and type(ws.subset[0]) is int
+    assert np.array_equal(ws.particular, ref.particular)
+    g = ReflexiveGraph(np.int8(3), [(0.0, np.int64(1))])
+    assert g == ReflexiveGraph(3, [(0, 1)]) and type(g.n) is int
+    spec = GridSpec(3.0, np.int32(4))
+    assert (spec.n, spec.resolution, spec.size()) == (3, 4, 15)

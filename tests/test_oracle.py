@@ -235,8 +235,11 @@ class TestRefine:
     [
         lambda: grid_max_multi(SimilarityMatrix(np.eye(3)), [2.0], GridSpec(2, 4)),
         lambda: refine(SimilarityMatrix(np.eye(3)), 2.0, uniform(2)),
+        lambda: GridSpec(3, 4.5),
+        lambda: GridSpec(2.5, 4),
+        lambda: GridSpec("3", 4),
     ],
-    ids=["grid-size", "start-size"],
+    ids=["grid-size", "start-size", "fractional-resolution", "fractional-grid-n", "string-grid-n"],
 )
 def test_invalid_input_is_refused(call):
     with pytest.raises(InputError):
