@@ -15,7 +15,9 @@ time: one cold call, made after emptying the cache of the scan's subset
 tables (masks, member tables, membership bits), so that it builds them as
 the first scan at each n does.  Above n=16 only the 16-species tables are
 cached, so a cold call rebuilds them once and then shifts them into every
-block of the other species, as a warm call does.  The LP row is the total
+block of the other species, as a warm call does.  A lattice row has a cold
+time too: one call made after emptying the cache of ``compositions``, so
+that it builds the lattice table first.  The LP row is the total
 time of ``find_nonnegative_weighting`` over a fixed corpus
 (set by ``--seed`` alone) of duplicated-species weighting spaces on which
 the LP runs: full sets and random subsets, each as solved and shifted by
@@ -33,7 +35,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from maxdiv.kernels import DOMINATED, _cached_subset_groups, grid_best, scan_subsets
+from maxdiv.kernels import DOMINATED, _cached_subset_groups, compositions, grid_best, scan_subsets
 from maxdiv.linalg import (
     POSITIVITY_EPS,
     SOLVE_TOL,
@@ -66,10 +68,10 @@ def time_call(fn, repeats=3):
     return best
 
 
-def cold_call(fn):
-    """One call of ``fn`` with the scan's subset tables, the 16-species ones
-    included, uncached."""
-    _cached_subset_groups.cache_clear()
+def cold_call(fn, cache):
+    """One call of ``fn`` after emptying ``cache``: the scan's subset tables,
+    the 16-species ones included, or the lattice tables."""
+    cache.cache_clear()
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0
@@ -82,7 +84,7 @@ def bench_scan(rng, sizes):
         classified = int((scan_subsets(z)[0] != DOMINATED).sum())
         label = f"subset scan n={n} ({2**n - 1} subsets, {classified} classified)"
         warm = time_call(lambda: scan_subsets(z))
-        rows.append((label, warm, cold_call(lambda: scan_subsets(z))))
+        rows.append((label, warm, cold_call(lambda: scan_subsets(z), _cached_subset_groups)))
     return rows
 
 
@@ -91,7 +93,8 @@ def bench_grid(rng, sizes, resolution):
     for n in sizes:
         z = random_similarity(rng, n)
         label = f"lattice sweep n={n} m={resolution} ({math.comb(resolution + n - 1, n - 1)} points x {len(QS)} orders)"
-        rows.append((label, time_call(lambda: grid_best(z, QS, resolution)), None))
+        warm = time_call(lambda: grid_best(z, QS, resolution))
+        rows.append((label, warm, cold_call(lambda: grid_best(z, QS, resolution), compositions)))
     return rows
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
-from .linalg import SimilarityMatrix, _check_subset
+from .linalg import SimilarityMatrix, _check_integer, _check_subset
 
 # Default order grid for profiles: log-spaced plus every special order.
 DEFAULT_ORDERS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, math.inf)
@@ -198,6 +198,7 @@ def restrict(p: Distribution, subset) -> Distribution:
 def extend_by_zero(p: Distribution, subset, n: int) -> Distribution:
     """Extend a distribution on ``subset`` by zeros to ``{0, ..., n-1}``; the
     entries of ``p`` follow the ascending order of the subset's indices."""
+    n = _check_integer(n, "size")
     idx = list(_check_subset(n, subset))
     if len(idx) != p.n:
         raise PreconditionError(f"subset size {len(idx)} does not match distribution size {p.n}")

@@ -36,7 +36,11 @@ def _init_graph(g, n, edges, kind):
         raise InputError("graph needs at least one vertex")
     out = set()
     for e in edges:
-        i, j = (_check_integer(v, "vertex") for v in e)
+        try:
+            i, j = e
+        except (TypeError, ValueError):
+            raise InputError(f"edge {e!r} is not a pair of vertices") from None
+        i, j = _check_integer(i, "vertex"), _check_integer(j, "vertex")
         if not (0 <= i < n and 0 <= j < n):
             raise InputError(f"edge ({i}, {j}) out of range for n={n}")
         if i == j:

@@ -22,10 +22,10 @@ Two operations dominate runtime:
 
 Both batch their arithmetic: the scan eliminates the surviving subsets of
 one size at once, and the lattice sweep evaluates the compositions of
-``m`` in chunks.  Both keep the batch on the last, contiguous axis: a chunk
-of the lattice is held species-major, as ``(n, chunk)`` arrays, so the sums
-over species run along whole rows.  The lattice chunks are kept small
-enough to stay in cache (see ``_GRID_CHUNK``).
+``m`` in chunks.  Both keep the batch on the last, contiguous axis: the
+lattice table is cached species-major, ``(n, N)``, in one-byte counts up to
+m = 255, so a chunk is a slice of its columns whose species sums run along
+whole rows, small enough to stay in cache (see ``_GRID_CHUNK``).
 """
 
 from __future__ import annotations
@@ -218,30 +218,24 @@ def scan_subsets(z: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _add_part(table, t):
-    # Compositions of t with one more leading part: heads t, t-1, ..., 0,
-    # each over every row of table[t - head] (tail totals 0, 1, ..., t).
+    # Compositions of t with one more leading part, one a column: a row of
+    # heads t, t-1, ..., 0 over the columns of table[t - head].
     tails = table[: t + 1]
-    heads = np.repeat(np.arange(t, -1, -1, dtype=np.int32), [len(tail) for tail in tails])
-    return np.column_stack([heads, np.concatenate(tails)])
-
-
-def _compositions_table(n: int, m: int) -> np.ndarray:
-    # Bottom-up over the number of parts: table[t] holds the compositions of
-    # t into the current number of parts, for every total t <= m.  The last
-    # part count is built for the total m alone.
-    table = [np.array([[t]], dtype=np.int32) for t in range(m + 1)]
-    for _ in range(2, n):
-        table = [_add_part(table, t) for t in range(m + 1)]
-    return _add_part(table, m) if n > 1 else table[m]
+    heads = np.repeat(np.arange(t + 1, dtype=tails[0].dtype)[::-1], [tail.shape[1] for tail in tails])
+    return np.vstack([heads, np.concatenate(tails, axis=1)])
 
 
 @lru_cache(maxsize=8)
 def compositions(n: int, m: int) -> np.ndarray:
-    """All compositions of ``m`` into ``n`` nonnegative parts (int counts).
-
-    Canonical order: lexicographically decreasing.
-    """
-    out = _compositions_table(n, m)
+    """All compositions of ``m`` into ``n`` nonnegative parts in canonical
+    (lexicographically decreasing) order: a read-only ``(n, N)`` table, one
+    composition per column, of the narrowest unsigned type that holds ``m``."""
+    # Bottom-up over the number of parts: table[t] holds the compositions of
+    # t for every total t <= m; the last part count needs the total m alone.
+    table = [np.full((1, 1), t, np.min_scalar_type(m)) for t in range(m + 1)]
+    for _ in range(2, n):
+        table = [_add_part(table, t) for t in range(m + 1)]
+    out = _add_part(table, m) if n > 1 else table[m]
     out.setflags(write=False)
     return out
 
@@ -274,9 +268,9 @@ def grid_best(z: np.ndarray, qs, m: int):
     best_vals = np.full(qs.shape[0], -np.inf)
     best_pts = np.zeros((qs.shape[0], n))
     counts = compositions(n, m)
-    for lo in range(0, counts.shape[0], _GRID_CHUNK):
+    for lo in range(0, counts.shape[1], _GRID_CHUNK):
         # species-major: column j of each (n, chunk) array is one composition
-        cc = np.ascontiguousarray(counts[lo : lo + _GRID_CHUNK].T)
+        cc = counts[:, lo : lo + _GRID_CHUNK]
         pc = cc / m
         xpc = z @ pc
         # neutral values for zero weights: 1 in the finite orders, 0 at q = inf

@@ -30,13 +30,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diversity import Distribution, _normalized, _support_ordinariness
+from .diversity import Distribution, _normalized, _support_ordinariness, extend_by_zero
 from .errors import InputError, PreconditionError
 from .kernels import DOMINATED, UNIQUE_NONNEG, UNRELIABLE, UNRESOLVED, scan_subsets
 from .linalg import (
     SOLVE_TOL,
     SimilarityMatrix,
     WeightingSolution,
+    _check_integer,
     _check_subset,
     _positive_weighting,
     _require_symmetric,
@@ -104,17 +105,15 @@ class MaximizationResult:
 def normalize_weighting(w, subset, n: int) -> Distribution:
     """Distribution proportional to ``w`` on ``subset``, zero elsewhere; the
     entries of ``w`` follow the ascending order of the subset's indices."""
-    idx = list(_check_subset(n, subset))
+    size = len(_check_subset(_check_integer(n, "size"), subset))
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (len(idx),):
-        raise InputError(f"weighting has {w.shape} entries for a subset of size {len(idx)}")
+    if w.shape != (size,):
+        raise InputError(f"weighting has {w.shape} entries for a subset of size {size}")
     if w.min() < -100 * SOLVE_TOL:
         raise InputError(f"weighting entry {w.min()!r} is negative")
     if w.max() <= 0:
         raise InputError("weighting must be nonnegative and nonzero")
-    out = np.zeros(n)
-    out[idx] = _normalized(w)
-    return Distribution(out)
+    return extend_by_zero(Distribution(_normalized(w)), subset, n)
 
 
 def is_invariant(z: SimilarityMatrix, p: Distribution) -> bool:
@@ -263,13 +262,13 @@ def _sweep(z: SimilarityMatrix, full_support) -> MaximizationResult:
         tying = np.flatnonzero(mags >= _tie_threshold(float(np.nanmax(mags)))) + 1
     for t in tying.tolist():
         ws = solved.get(t) or _solve(z, t)
-        winners[t] = _winner(ws.with_nonnegative(ws.particular), e)
         tight = np.abs(z.values[:, ws.subset] @ ws.particular - 1.0) <= SOLVE_TOL
         cover = t | int(bits[tight].sum())
-        for b in set(singular[((singular & t) == t) & ((singular & ~cover) == 0)].tolist()) - winners.keys():
+        # T, and the singular supersets of T that its tight rows cover
+        for b in {t, *singular[((singular & t) == t) & ((singular & ~cover) == 0)].tolist()} - winners.keys():
             rep = np.zeros(b.bit_count())
             rep[np.searchsorted(_mask_indices(b, z.n), ws.subset)] = ws.particular
-            own = solved.get(b) or _solve(z, b)
+            own = ws if b == t else solved.get(b) or _solve(z, b)
             winners[b] = _winner(replace(own, particular=rep, nonnegative=rep, magnitude=ws.magnitude), e)
     order = sorted(winners, key=lambda m: (m.bit_count(), _mask_indices(m, z.n)))
     # True: the winners' weightings span every maximizer (the vertex argument)

@@ -224,7 +224,7 @@ def test_c08_clique_capacity():
         adj = np.zeros((n, n))
         for i, j in x.edges:
             adj[i, j] = adj[j, i] = 1.0
-        grid = compositions(n, 40) / 40.0
+        grid = compositions(n, 40).T / 40.0
         best = float(np.einsum("ki,ij,kj->k", grid, adj, grid).max()) if x.edges else 0.0
         ok &= abs(best - (1.0 - 1.0 / omega)) <= 1e-3
         # the uniform-on-clique witness attains the capacity exactly

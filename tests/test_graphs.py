@@ -259,10 +259,13 @@ class TestEpsilonEntropy:
         lambda: covering_number(FiniteMetric([[0.0]]), "1"),
         lambda: threshold_graph(FiniteMetric([[0.0]]), "1"),
         lambda: epsilon_entropy_bounds(FiniteMetric([[0.0]]), "1"),
+        lambda: ReflexiveGraph(3, [(0, 1, 2)]),
+        lambda: ReflexiveGraph(3, [5]),
     ],
     ids=["no-vertex", "not-square", "infinite-distance", "negative-distance",
          "fractional-vertex-count", "fractional-vertex", "string-vertex",
-         "string-covering-eps", "string-threshold-eps", "string-entropy-eps"],
+         "string-covering-eps", "string-threshold-eps", "string-entropy-eps",
+         "edge-of-three-vertices", "edge-not-a-pair"],
 )
 def test_invalid_input_is_refused(call):
     with pytest.raises(InputError):

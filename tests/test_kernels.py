@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -236,8 +237,8 @@ def test_compositions_match_recursive_builder(n):
     for m in (1, 2, 5, 9):
         out = compositions(n, m)
         expected = _compositions_recursive(n, m)
-        assert out.dtype == expected.dtype
-        assert np.array_equal(out, expected)
+        assert out.dtype == np.uint8
+        assert np.array_equal(out.T, expected)
         assert not out.flags.writeable
         with pytest.raises(ValueError):
             out[0, 0] = 1
@@ -284,7 +285,7 @@ def _grid_best_rows(z, qs, m, taken, chunk=131072):
     n = z.shape[0]
     best_vals = np.full(qs.shape[0], -np.inf)
     best_pts = np.zeros((qs.shape[0], n))
-    counts = compositions(n, m)
+    counts = np.ascontiguousarray(compositions(n, m).T)
     for lo in range(0, counts.shape[0], chunk):
         cc = counts[lo : lo + chunk]
         pc = cc / m
@@ -427,3 +428,5 @@ def test_kernel_benchmark_script_runs():
     assert rows[3].startswith("phase-1 LP (200 duplicated-species weighting spaces")
     for row, n in zip(rows[4:], (128, 256, 512)):
         assert row.startswith(f"ultrametric test n={n} (ultrametric input) ")
+    # the scan and lattice rows add a cold time to the best of three
+    assert [len(re.findall(r"\d\.\d\dms", row)) for row in rows] == [2, 2, 2, 1, 1, 1, 1]

@@ -11,6 +11,7 @@ from maxdiv import (
     ReflexiveGraph,
     SimilarityMatrix,
     adjacency_matrix,
+    extend_by_zero,
     find_nonnegative_weighting,
     find_positive_weighting,
     is_positive_definite,
@@ -18,7 +19,9 @@ from maxdiv import (
     is_strictly_diagonally_dominant,
     is_ultrametric,
     magnitude,
+    normalize_weighting,
     solve_weighting_space,
+    uniform,
 )
 from maxdiv.linalg import (
     LP_ITERATION_CAP,
@@ -696,3 +699,6 @@ def test_integral_floats_and_numpy_integers_are_accepted():
     assert g == ReflexiveGraph(3, [(0, 1)]) and type(g.n) is int
     spec = GridSpec(3.0, np.int32(4))
     assert (spec.n, spec.resolution, spec.size()) == (3, 4, 15)
+    p = extend_by_zero(uniform(1), [1], 2.0)
+    assert np.array_equal(p.probs, [0.0, 1.0])
+    assert np.array_equal(normalize_weighting([1.0, 3.0], [2, 0], np.int64(3)).probs, [0.25, 0.0, 0.75])
