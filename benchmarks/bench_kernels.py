@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time the package's two numpy kernels, the subset scan behind
 ``maximize_exhaustive`` and the lattice sweep behind ``grid_max``, the
-phase-1 LP behind ``find_nonnegative_weighting``, and the ultrametric test
-that names the fast path.
+phase-1 LP behind ``find_nonnegative_weighting``, the ultrametric test
+that names the fast path, and the definiteness verdicts that gate it.
 
 Run from the root of a checkout:
 
@@ -25,7 +25,10 @@ the LP runs: full sets and random subsets, each as solved and shifted by
 perfbench workload reaches the LP, so this row is its only timing.  The
 ultrametric rows call ``is_ultrametric`` on one random ultrametric (set by
 ``--seed`` alone) at each of n = 128, 256 and 512; the test passes on it, so
-it checks every species.
+it checks every species.  The definiteness row times the Cholesky verdicts
+that gate the fast path, ``_definiteness``, on one positive definite matrix
+at n=128 (a random ultrametric, set by ``--seed`` alone), and names in its
+label the time of the ``eigvalsh`` that decided them before.
 """
 
 import argparse
@@ -40,6 +43,7 @@ from maxdiv.linalg import (
     POSITIVITY_EPS,
     SOLVE_TOL,
     SimilarityMatrix,
+    _definiteness,
     find_nonnegative_weighting,
     is_ultrametric,
     solve_weighting_space,
@@ -47,6 +51,7 @@ from maxdiv.linalg import (
 
 LP_SPACES = 200
 ULTRAMETRIC_SIZES = (128, 256, 512)
+DEFINITENESS_SIZE = 128
 
 QS = np.array([0.0, 0.5, 1.0, 2.0, 8.0, math.inf])
 
@@ -150,6 +155,14 @@ def bench_ultrametric(rng):
     return rows
 
 
+def bench_definiteness(rng):
+    z = random_ultrametric(rng, DEFINITENESS_SIZE)
+    assert _definiteness(z) == (True, True)
+    eig = time_call(lambda: np.linalg.eigvalsh(z.values))
+    label = f"definiteness n={DEFINITENESS_SIZE} (positive definite input, eigvalsh {eig * 1e3:.2f}ms)"
+    return [(label, time_call(lambda: _definiteness(z)), None)]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scan-sizes", default="8,10,12,14,16")
@@ -163,6 +176,7 @@ def main():
     rows += bench_grid(rng, [int(s) for s in args.grid_sizes.split(",")], args.resolution)
     rows += bench_lp(np.random.default_rng(args.seed))
     rows += bench_ultrametric(np.random.default_rng(args.seed))
+    rows += bench_definiteness(np.random.default_rng(args.seed))
 
     width = max(len(label) for label, _, _ in rows)
     header = f"{'kernel':<{width}}  {'best of 3':>12}  {'cold':>12}"

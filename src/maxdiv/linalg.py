@@ -5,11 +5,14 @@ Everything here works on dense matrices at desk scale: subsets of at most
 It holds weighting-space solves via row reduction with a declared pivot
 threshold, a phase-1 LP over their kernel coordinates t >= 0 for nonnegative
 weightings, and the matrix-class predicates that gate and name the
-maximizer's fast path.  Both eliminations clear a pivot column with one
-rank-1 numpy update, so an n x n reduction takes O(n) numpy calls: a few
-milliseconds at n=128.  A positive definite full set needs no kernel basis,
-so its one weighting comes from a single LAPACK solve instead (well under a
-millisecond at n=128); singular and subset systems keep the row reduction.
+maximizer's fast path.  Definiteness is decided by at most two Cholesky
+factorizations of Z shifted by the eigenvalue floor, about a quarter of
+the cost of ``eigvalsh`` at n=128; no eigenvalue is computed.  Both
+eliminations clear a pivot column with one rank-1 numpy update, so an
+n x n reduction takes O(n) numpy calls: a few milliseconds at n=128.  A
+positive definite full set needs no kernel basis, so its one weighting
+comes from a single LAPACK solve instead (well under a millisecond at
+n=128); singular and subset systems keep the row reduction.
 The ultrametric test compares each species with its most similar earlier
 species, so it takes O(n^2) time and memory in a handful of numpy calls.
 """
@@ -30,7 +33,8 @@ TIE_RTOL = 1e-9
 # Declared numerical rank: pivots at or below PIVOT_RTOL times the largest
 # initial entry count as zero.
 PIVOT_RTOL = 1e-10
-# Eigenvalues above -PSD_FLOOR_RTOL * max|Z| count as nonnegative.
+# Eigenvalues above -PSD_FLOOR_RTOL * max|Z| count as nonnegative, and
+# above +PSD_FLOOR_RTOL * max|Z| as positive.
 PSD_FLOOR_RTOL = 1e-9
 # Minimum entry for a weighting to count as strictly positive.  It clears
 # the SOLVE_TOL slack that nonnegativity forgives, so an entry that is zero
@@ -361,24 +365,47 @@ def _require_symmetric(z: SimilarityMatrix, what: str):
         raise PreconditionError(f"{what} requires a symmetric similarity matrix")
 
 
-def _spectrum(z: SimilarityMatrix) -> tuple[bool, bool, float, float]:
-    """``(psd, pd, smallest eigenvalue, floor)`` of symmetric ``Z``, from one
-    ``eigvalsh``: Z is positive semidefinite when its smallest eigenvalue is
-    at least ``-floor`` and positive definite when it exceeds ``floor``, with
-    ``floor = PSD_FLOOR_RTOL * max|Z|``."""
-    low = float(np.linalg.eigvalsh(z.values).min())
-    floor = PSD_FLOOR_RTOL * float(np.abs(z.values).max())
-    return low >= -floor, low > floor, low, floor
+def _eigenvalue_floor(z: SimilarityMatrix) -> float:
+    """``PSD_FLOOR_RTOL * max|Z|``: the margin by which Z's smallest
+    eigenvalue must clear 0 to count as positive, and may fall below 0 and
+    still count as nonnegative."""
+    return PSD_FLOOR_RTOL * float(np.abs(z.values).max())
+
+
+def _factors(z: SimilarityMatrix, shift: float) -> bool:
+    """Whether ``Z + shift·I`` has a Cholesky factor, shifted on a copy."""
+    a = z.values.copy()
+    a.flat[:: z.n + 1] += shift
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _definiteness(z: SimilarityMatrix) -> tuple[bool, bool]:
+    """``(psd, pd)`` of symmetric ``Z`` against ``floor`` (see
+    :func:`_eigenvalue_floor`), from at most two Cholesky factorizations: Z is
+    positive definite when ``Z - floor·I`` factors, else positive
+    semidefinite when ``Z + floor·I`` does.  That is the eigenvalue rule
+    (smallest eigenvalue above ``floor``, at least ``-floor``) up to
+    Cholesky's backward error of about n·u·max|Z| (Higham, ch. 10), far
+    inside the floor, so the two rules part only on a matrix whose smallest
+    eigenvalue lies that close to ``±floor``."""
+    floor = _eigenvalue_floor(z)
+    if _factors(z, -floor):
+        return True, True
+    return _factors(z, floor), False
 
 
 def is_positive_semidefinite(z: SimilarityMatrix) -> bool:
     _require_symmetric(z, "positive semidefiniteness test")
-    return _spectrum(z)[0]
+    return _definiteness(z)[0]
 
 
 def is_positive_definite(z: SimilarityMatrix) -> bool:
     _require_symmetric(z, "positive definiteness test")
-    return _spectrum(z)[1]
+    return _definiteness(z)[1]
 
 
 def is_ultrametric(z: SimilarityMatrix) -> bool:

@@ -12,9 +12,12 @@ of the tying ones (see :func:`maximize_exhaustive`), with no row reduction
 or LP per subset.
 When Z is positive semidefinite and the full set has a nonnegative
 weighting, its weighting space generates every maximizing distribution, so
-:func:`maximize_fast_path` answers from the spectrum and one solve of
-``Z w = 1``: a single LAPACK solve when Z is positive definite, a row
-reduction that also yields the kernel when Z is only semidefinite.
+:func:`maximize_fast_path` answers from two definiteness verdicts and one
+solve of ``Z w = 1``: a single LAPACK solve when Z is positive definite, a
+row reduction that also yields the kernel when Z is only semidefinite.  The
+verdicts come from Cholesky factorizations (see
+:func:`~maxdiv.linalg._definiteness`); no route computes an eigenvalue,
+which only :func:`full_support_diagnostics` reports.
 :func:`maximize` takes that route when it applies.  Both routes work on Z
 divided by the power of two that brings its largest entry into [1, 2),
 where the solver tolerances are sized, and scale their answer back, so
@@ -39,10 +42,11 @@ from .linalg import (
     WeightingSolution,
     _check_integer,
     _check_subset,
+    _definiteness,
+    _eigenvalue_floor,
     _positive_weighting,
     _require_symmetric,
     _solve_definite,
-    _spectrum,
     _tie_threshold,
     _unit_exponent,
     _unscaled,
@@ -79,7 +83,8 @@ class FullSupportDiagnostics:
     ``weighting_space`` is the one full-set solve, made exactly when Z is
     positive semidefinite (else ``None``): one LAPACK solve when Z is
     positive definite, else a row reduction, which also gives the kernel;
-    ``maximize`` and ``diagnose`` reuse it."""
+    ``diagnose`` reuses it.  ``maximize`` makes the same analysis but skips
+    the ``eigvalsh`` behind ``min_eigenvalue``, which only this report holds."""
 
     exists_full_support_maximizer: bool
     all_maximizers_full_support: bool
@@ -106,7 +111,10 @@ def normalize_weighting(w, subset, n: int) -> Distribution:
     """Distribution proportional to ``w`` on ``subset``, zero elsewhere; the
     entries of ``w`` follow the ascending order of the subset's indices."""
     size = len(_check_subset(_check_integer(n, "size"), subset))
-    w = np.asarray(w, dtype=np.float64)
+    try:
+        w = np.asarray(w, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InputError(f"weighting {w!r} is not a vector of numbers") from None
     if w.shape != (size,):
         raise InputError(f"weighting has {w.shape} entries for a subset of size {size}")
     if w.min() < -100 * SOLVE_TOL:
@@ -163,27 +171,47 @@ def _winner(ws: WeightingSolution, e: int) -> FeasibleSubset:
     return FeasibleSubset(ws.subset, ws.magnitude, ws)
 
 
+def _full_support(zs: SimilarityMatrix):
+    """``(psd, pd, weighting space, positive weighting)`` of a unit-scaled
+    symmetric ``zs`` (see :func:`_unit_scale`), in its own units.  The space
+    is solved exactly when ``zs`` is positive semidefinite (else ``None``):
+    one LAPACK solve when it is positive definite, else a row reduction,
+    which also gives the kernel."""
+    psd, pd = _definiteness(zs)
+    ws = _solve_definite(zs) if pd else solve_weighting_space(zs) if psd else None
+    return psd, pd, ws, None if ws is None else _positive_weighting(ws)
+
+
+def _flags(psd: bool, pd: bool, pos) -> tuple[bool, bool]:
+    """Whether some maximizer, and whether every maximizer, has full support:
+    Z positive semidefinite, resp. definite, with a positive weighting."""
+    return psd and pos is not None, pd and pos is not None
+
+
 def full_support_diagnostics(z: SimilarityMatrix) -> FullSupportDiagnostics:
-    """Species-preservation report from one ``eigvalsh``.
+    """Species-preservation report: the maximizer's own analysis plus one
+    ``eigvalsh`` for the reported smallest eigenvalue.
 
     A full-support maximizer exists exactly when Z is positive semidefinite
     and admits a positive weighting; every maximizer has full support exactly
-    when Z is positive definite with positive weighting.  The verdicts are
-    reached on Z / 2^e (see :func:`_unit_scale`), so they do not change when
-    Z is scaled by a power of two; the eigenvalues and weightings reported
-    are Z's own.
+    when Z is positive definite with positive weighting.  The verdicts come
+    from Cholesky factorizations of Z shifted by ``±floor``, as ``maximize``
+    reaches them, and the eigenvalue is only reported: it can disagree with
+    them only within about n·u·max|Z| of ``±floor`` (u the unit roundoff).
+    The verdicts are reached on Z / 2^e (see :func:`_unit_scale`), so they do
+    not change when Z is scaled by a power of two; the eigenvalues and
+    weightings reported are Z's own.
     """
     zs, e = _unit_scale(z)
-    psd, pd, low, floor = _spectrum(zs)
-    ws = _solve_definite(zs) if pd else solve_weighting_space(zs) if psd else None
-    pos = None if ws is None else _positive_weighting(ws)
+    psd, pd, ws, pos = _full_support(zs)
+    exists, every = _flags(psd, pd, pos)
     return FullSupportDiagnostics(
-        exists_full_support_maximizer=psd and pos is not None,
-        all_maximizers_full_support=pd and pos is not None,
+        exists_full_support_maximizer=exists,
+        all_maximizers_full_support=every,
         positive_semidefinite=psd,
         positive_definite=pd,
-        min_eigenvalue=math.ldexp(low, e),
-        eigenvalue_floor=math.ldexp(floor, e),
+        min_eigenvalue=math.ldexp(float(np.linalg.eigvalsh(zs.values).min()), e),
+        eigenvalue_floor=math.ldexp(_eigenvalue_floor(zs), e),
         positive_weighting=_unscaled(pos, e),
         weighting_space=_rescaled_space(ws, e),
     )
@@ -234,8 +262,8 @@ def _sweep(z: SimilarityMatrix, full_support) -> MaximizationResult:
         raise PreconditionError(f"matrix size {z.n} exceeds the exhaustive cap {SUBSET_CAP}")
     z, e = _unit_scale(z)
     if full_support is None:
-        diag = full_support_diagnostics(z)
-        full_support = (diag.exists_full_support_maximizer, diag.all_maximizers_full_support)
+        psd, pd, _, pos = _full_support(z)
+        full_support = _flags(psd, pd, pos)
     status, mags = scan_subsets(z.values)
     import logging  # here, not at the top: only the sweep logs, and the import costs ~5 ms
 
@@ -310,8 +338,7 @@ def maximize_fast_path(z: SimilarityMatrix) -> MaximizationResult | None:
     which asks for a unit diagonal, depends on the scale of Z.
     """
     zs, e = _unit_scale(z)
-    diag = full_support_diagnostics(zs)
-    ws = diag.weighting_space
+    psd, pd, ws, pos = _full_support(zs)
     w = None if ws is None else find_nonnegative_weighting(ws)
     if w is None:
         return None
@@ -323,9 +350,8 @@ def maximize_fast_path(z: SimilarityMatrix) -> MaximizationResult | None:
         method = "positive-semidefinite"
     # a kernel u and a positive w give two maximizers w ± t·u (1ᵀu = wᵀZu = 0);
     # a kernel and no positive weighting leave the full set's space undecided
-    unique = True if ws.unique else False if diag.positive_weighting is not None else None
-    full_support = (diag.exists_full_support_maximizer, diag.all_maximizers_full_support)
-    return _result(z.n, (_winner(ws.with_nonnegative(w), e),), full_support, method, unique)
+    unique = True if ws.unique else False if pos is not None else None
+    return _result(z.n, (_winner(ws.with_nonnegative(w), e),), _flags(psd, pd, pos), method, unique)
 
 
 def maximize(z: SimilarityMatrix) -> MaximizationResult:

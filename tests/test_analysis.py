@@ -1,8 +1,9 @@
-"""One analysis of the full matrix per call: the spectrum and the full-set
-solve are each computed once and shared by the fast path, the
-species-preservation flags and ``maxdiv diagnose``.  A positive definite
-full set is solved by one LAPACK call, so only a singular positive
-semidefinite one reaches the row reduction."""
+"""One analysis of the full matrix per call: the definiteness verdicts and
+the full-set solve are each computed once and shared by the fast path, the
+species-preservation flags and ``maxdiv diagnose``.  The verdicts come from
+Cholesky factorizations; only the diagnostics report computes an
+eigenvalue.  A positive definite full set is solved by one LAPACK call, so
+only a singular positive semidefinite one reaches the row reduction."""
 
 import importlib
 import tracemalloc
@@ -34,8 +35,8 @@ from maxdiv.linalg import (
     SOLVE_TOL,
     _phase1_nonneg,
     _rref,
+    _definiteness,
     _solve_affine,
-    _spectrum,
 )
 from maxdiv.maximize import SUBSET_CAP
 
@@ -75,9 +76,11 @@ def _count(monkeypatch, counts, owner, name):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of ``np.linalg.eigvalsh``, row-reduction and ultrametric-test calls."""
-    counts = {"eigvalsh": 0, "_rref": 0, "is_ultrametric": 0}
+    """Counts of ``np.linalg.eigvalsh``, ``np.linalg.cholesky``, row-reduction
+    and ultrametric-test calls."""
+    counts = {"eigvalsh": 0, "cholesky": 0, "_rref": 0, "is_ultrametric": 0}
     _count(monkeypatch, counts, np.linalg, "eigvalsh")
+    _count(monkeypatch, counts, np.linalg, "cholesky")
     _count(monkeypatch, counts, importlib.import_module("maxdiv.linalg"), "_rref")
     _count(monkeypatch, counts, importlib.import_module("maxdiv.maximize"), "is_ultrametric")
     return counts
@@ -87,24 +90,32 @@ _RNG = np.random.default_rng(211)
 
 
 @pytest.mark.parametrize(
-    "z, method, eigvalsh, rref",
+    "z, method, cholesky, rref",
     [
         (_tree_ultrametric(128), "ultrametric", 1, 0),
         (random_sdd(_RNG, 128), "diagonal-dominance", 1, 0),
-        (random_duplicated_psd(_RNG, 6), "positive-semidefinite", 1, 1),
-        (random_symmetric(_RNG, 10), "exhaustive", 1, None),
-        (path_adjacency(3), "exhaustive", 1, None),
+        (random_duplicated_psd(_RNG, 6), "positive-semidefinite", 2, 1),
+        (random_symmetric(_RNG, 10), "exhaustive", 2, None),
+        (path_adjacency(3), "exhaustive", 2, None),
     ],
     ids=["ultrametric-128", "diagonal-dominance-128", "duplicated-psd-6", "dense-10", "path-3"],
 )
-def test_maximize_analyses_the_full_matrix_once(calls, z, method, eigvalsh, rref):
+def test_maximize_analyses_the_full_matrix_once(calls, z, method, cholesky, rref):
     assert maximize(z).method == method
-    assert calls["eigvalsh"] == eigvalsh
+    # the verdicts need one factorization when Z is positive definite, two
+    # otherwise; no eigenvalue is computed, not even at n=128
+    assert (calls["eigvalsh"], calls["cholesky"]) == (0, cholesky)
     if rref is not None:
         assert calls["_rref"] == rref
-    # the spectrum gates the fast path; the class tests only name its route,
+    # the definiteness verdicts gate the fast path; the class tests only name its route,
     # so a matrix that is swept never runs them
     assert calls["is_ultrametric"] == (method != "exhaustive")
+
+
+def test_diagnostics_report_one_eigenvalue(calls):
+    d = full_support_diagnostics(_tree_ultrametric(128))
+    assert d.positive_definite and d.min_eigenvalue > d.eigenvalue_floor
+    assert (calls["eigvalsh"], calls["cholesky"], calls["_rref"]) == (1, 1, 0)
 
 
 def test_diagnose_reduces_the_full_matrix_once(calls, tmp_path):
@@ -183,9 +194,14 @@ def traced(monkeypatch):
 
 @pytest.mark.parametrize("entry", ["maximize", "maximize_fast_path", "maximize_exhaustive"])
 @pytest.mark.parametrize("z", [_tree_ultrametric(8), path_adjacency(4)], ids=["fast-path", "swept"])
-def test_each_entry_point_analyses_the_full_matrix_once(traced, entry, z):
-    getattr(importlib.import_module("maxdiv.maximize"), entry)(z)
-    assert traced["full_support_diagnostics"] == 1
+def test_each_entry_point_analyses_the_full_matrix_once(traced, monkeypatch, entry, z):
+    module = importlib.import_module("maxdiv.maximize")
+    analyses = {"_full_support": 0}
+    _count(monkeypatch, analyses, module, "_full_support")
+    getattr(module, entry)(z)
+    assert analyses["_full_support"] == 1
+    # the report, with its eigenvalue, is not on any maximizer's route
+    assert traced["full_support_diagnostics"] == 0
 
 
 @pytest.mark.parametrize(
@@ -203,18 +219,16 @@ def test_each_entry_point_analyses_the_full_matrix_once(traced, entry, z):
 def test_maximize_reaches_the_traced_layers(traced, z, reached):
     # a refactor that routes maximize past one of these names would zero
     # that layer's metric in a traced benchmark run; a positive definite
-    # full set is solved inside the analysis, past solve_weighting_space
+    # full set is solved inside the analysis, past solve_weighting_space,
+    # and the analysis runs past the diagnostics report
     maximize(z)
-    assert {name for name, k in traced.items() if k} == reached | {
-        "maximize_fast_path",
-        "full_support_diagnostics",
-    }
+    assert {name for name, k in traced.items() if k} == reached | {"maximize_fast_path"}
 
 
 def test_exhaustive_cap_is_checked_before_the_analysis(calls):
     with pytest.raises(PreconditionError, match=f"exceeds the exhaustive cap {SUBSET_CAP}"):
         maximize_exhaustive(SimilarityMatrix(np.eye(SUBSET_CAP + 1)))
-    assert (calls["eigvalsh"], calls["_rref"]) == (0, 0)
+    assert (calls["eigvalsh"], calls["cholesky"], calls["_rref"]) == (0, 0, 0)
 
 
 def test_sweep_flags_match_a_fresh_analysis():
@@ -267,7 +281,7 @@ def test_definite_verdict_implies_a_full_rank_reduction():
     ]
     definite = 0
     for z in cases:
-        if not _spectrum(z)[1]:
+        if not _definiteness(z)[1]:
             continue
         definite += 1
         aug = np.concatenate([z.values, np.ones((z.n, 1))], axis=1)

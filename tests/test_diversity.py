@@ -349,6 +349,7 @@ def _random_nonsym(rng, n):
         (lambda: restrict(uniform(2), [0, 1.5]), InputError),
         (lambda: extend_by_zero(uniform(2), [0, "1"], 3), InputError),
         (lambda: normalize_weighting([1.0, 1.0], [0, 2.5], 3), InputError),
+        (lambda: normalize_weighting("x", [0], 2), InputError),
         # and so are sizes
         (lambda: extend_by_zero(uniform(1), [0], 2.5), InputError),
         (lambda: normalize_weighting([1.0], [0], 2.5), InputError),
@@ -356,7 +357,7 @@ def _random_nonsym(rng, n):
     ids=["not-a-vector", "nan-entry", "power-mean-length", "power-mean-nan-order",
          "ordinariness-underflow", "empty-order-grid", "extension-size",
          "fractional-solve-index", "fractional-restrict-index", "string-extension-index",
-         "fractional-weighting-index", "fractional-extension-size", "fractional-weighting-size"],
+         "fractional-weighting-index", "string-weighting-entry", "fractional-extension-size", "fractional-weighting-size"],
 )
 def test_invalid_input_is_refused(call, error):
     with pytest.raises(error):

@@ -421,12 +421,14 @@ def test_kernel_benchmark_script_runs():
     )
     assert res.returncode == 0, res.stderr
     rows = [line for line in res.stdout.splitlines() if line.endswith("ms")]
-    assert len(rows) == 7
+    assert len(rows) == 8
     assert rows[0].startswith("subset scan n=4 ")
     assert rows[1].startswith("subset scan n=17 ")
     assert rows[2].startswith("lattice sweep n=3 m=5 ")
     assert rows[3].startswith("phase-1 LP (200 duplicated-species weighting spaces")
     for row, n in zip(rows[4:], (128, 256, 512)):
         assert row.startswith(f"ultrametric test n={n} (ultrametric input) ")
-    # the scan and lattice rows add a cold time to the best of three
-    assert [len(re.findall(r"\d\.\d\dms", row)) for row in rows] == [2, 2, 2, 1, 1, 1, 1]
+    assert rows[7].startswith("definiteness n=128 (positive definite input, eigvalsh ")
+    # the scan and lattice rows add a cold time to the best of three, and
+    # the definiteness row names the eigvalsh time in its label
+    assert [len(re.findall(r"\d\.\d\dms", row)) for row in rows] == [2, 2, 2, 1, 1, 1, 1, 2]

@@ -27,7 +27,9 @@ from maxdiv.linalg import (
     LP_ITERATION_CAP,
     PIVOT_RTOL,
     POSITIVITY_EPS,
+    PSD_FLOOR_RTOL,
     SOLVE_TOL,
+    _definiteness,
     _phase1_nonneg,
     _rref,
     _solve_affine,
@@ -40,13 +42,16 @@ from helpers import (
     THREE_SPECIES,
     THREE_SPECIES_MAGNITUDE,
     THREE_SPECIES_WEIGHTING,
+    near_duplicate_gram,
     path_adjacency,
     random_duplicated_psd,
     random_graph,
+    random_planar_metric,
     random_psd,
     random_sdd,
     random_symmetric,
     random_ultrametric,
+    zero_weight_duplicates,
 )
 
 
@@ -389,6 +394,63 @@ class TestPredicates:
             assert is_positive_definite(z)
             ws = solve_weighting_space(z)
             assert ws.unique
+
+    def test_definiteness_matches_the_eigenvalue_rule(self):
+        # Cholesky verdicts against the smallest eigenvalue and the floor
+        # PSD_FLOOR_RTOL·max|Z|: positive semidefinite at or above -floor,
+        # positive definite above +floor
+        rng = np.random.default_rng(251)
+        makers = {
+            "symmetric": random_symmetric,
+            "ultrametric": random_ultrametric,
+            "sdd": random_sdd,
+            "psd": random_psd,
+            "duplicated-psd": random_duplicated_psd,
+            "near-duplicate-gram": near_duplicate_gram,
+            "zero-weight-duplicates": lambda rng, n: zero_weight_duplicates(rng),
+            "graph": lambda rng, n: adjacency_matrix(random_graph(rng, n, rng.uniform(0.2, 0.7))),
+            "path": lambda rng, n: path_adjacency(n),
+            "planar-metric": lambda rng, n: SimilarityMatrix(np.exp(-random_planar_metric(rng, n).dist)),
+        }
+        verdicts = {}
+        for family, make in makers.items():
+            for _ in range(60):
+                z = make(rng, int(rng.integers(2, 14)))
+                low = np.linalg.eigvalsh(z.values).min()
+                floor = PSD_FLOOR_RTOL * np.abs(z.values).max()
+                expected = (bool(low >= -floor), bool(low > floor))
+                assert _definiteness(z) == expected, family
+                verdicts.setdefault(expected, set()).add(family)
+        # definite, singular semidefinite and indefinite draws all take part
+        assert set(verdicts) == {(True, True), (True, False), (False, False)}
+        assert {"psd", "duplicated-psd", "near-duplicate-gram"} <= verdicts[True, False]
+
+    @pytest.mark.parametrize(
+        "factor, expected",
+        [(1 + 1e-3, (True, True)), (1 - 1e-3, (True, False)), (-1 + 1e-3, (True, False)), (-1 - 1e-3, (False, False))],
+        ids=["above-plus-floor", "below-plus-floor", "above-minus-floor", "below-minus-floor"],
+    )
+    def test_definiteness_at_the_floor(self, factor, expected):
+        # Z = Q·diag(λ)·Qᵀ with λ_min = factor·floor: within 1e-3·floor of
+        # ±floor, yet far outside Cholesky's backward error (about n·u·max|Z|).
+        # The top eigenvector is the all-ones one, with an eigenvalue large
+        # enough to keep every entry of Z positive.
+        n = 6
+        rng = np.random.default_rng(257)
+        q, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, n - 1))]))
+        lam = np.concatenate([[3.0 * n], rng.uniform(0.5, 1.0, size=n - 2), [0.0]])
+
+        def build(low):
+            lam[-1] = low
+            return SimilarityMatrix((q * lam) @ q.T)
+
+        floor = PSD_FLOOR_RTOL * np.abs(build(0.0).values).max()
+        z = build(factor * floor)
+        floor = PSD_FLOOR_RTOL * np.abs(z.values).max()
+        low = np.linalg.eigvalsh(z.values).min()
+        assert abs(low - factor * floor) <= 1e-5 * floor  # the construction holds
+        assert _definiteness(z) == expected
+        assert (is_positive_semidefinite(z), is_positive_definite(z)) == expected
 
     def test_ultrametric_examples(self):
         assert is_ultrametric(SimilarityMatrix(TAXONOMIC))
