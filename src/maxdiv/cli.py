@@ -49,10 +49,8 @@ def _read(path: str) -> str:
 
 def _parse_order(text: str) -> float:
     s = text.strip().lower()
-    if s in ("inf", "infinity", "oo"):
-        return math.inf
-    try:
-        return check_order(float(s))
+    try:  # float() reads 'inf' and 'infinity'
+        return check_order(math.inf if s == "oo" else float(s))
     except ValueError:
         raise InputError(f"bad order {text!r}: expected a nonnegative number or 'inf'") from None
 

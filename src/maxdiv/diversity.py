@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
-from .linalg import SimilarityMatrix, _check_integer, _check_subset
+from .linalg import SimilarityMatrix, _check_integer, _check_real, _check_subset, _in_float64
 
 # Default order grid for profiles: log-spaced plus every special order.
 DEFAULT_ORDERS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, math.inf)
@@ -36,14 +36,7 @@ class Distribution:
     support: np.ndarray
 
     def __init__(self, probs):
-        arr = np.array(probs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise InputError("distribution must be a nonempty vector")
-        if not np.isfinite(arr).all():
-            raise InputError("distribution entries must be finite")
-        if (arr < 0).any():
-            i = int(np.flatnonzero(arr < 0)[0])
-            raise InputError(f"distribution entry {i + 1} is negative")
+        arr = _check_real(probs, "distribution", 1, measure=True)
         total = float(arr.sum())
         if abs(total - 1.0) > _SUM_TOL:
             raise InputError(f"distribution sums to {total!r}, not 1")
@@ -73,7 +66,7 @@ def uniform(n: int) -> Distribution:
 
 
 def check_order(q) -> float:
-    q = float(q)
+    q = _check_real(q, "order q")
     if math.isnan(q) or q < 0:
         raise InputError(f"order q must be in [0, inf], got {q}")
     return q
@@ -112,10 +105,10 @@ def power_mean(p: Distribution, x, t: float) -> float:
     t = 0 gives the geometric mean, t = -inf / +inf the min / max over the
     support.  Entries of ``x`` must be positive on the support.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _check_real(x, "power mean values", 1)
     if x.shape != (p.n,):
         raise InputError(f"power mean needs a length-{p.n} vector, got shape {x.shape}")
-    t = float(t)
+    t = _check_real(t, "power mean order")
     if math.isnan(t):
         raise InputError("power mean order must not be NaN")
     ps = p.probs[p.support]
@@ -131,10 +124,11 @@ def diversity(z: SimilarityMatrix, p: Distribution, q) -> float:
     Symmetry of ``Z`` is not required here; only nonnegativity with positive
     diagonal is, which guarantees (Zp)_i > 0 on the support.  The arithmetic
     runs entirely on the support submatrix, so species of zero abundance
-    leave the value bit-for-bit unchanged.
+    leave the value bit-for-bit unchanged.  A value beyond float64 is refused.
     """
     q = check_order(q)
-    return float(1.0 / _power_mean_core(*_support_ordinariness(z, p), q - 1.0))
+    ps, xs = _support_ordinariness(z, p)
+    return float(_in_float64("a diversity", np.divide, 1.0, _power_mean_core(ps, xs, q - 1.0)))
 
 
 def _support_ordinariness(z: SimilarityMatrix, p: Distribution):
@@ -180,8 +174,7 @@ def diversity_profile(z: SimilarityMatrix, p: Distribution, orders=DEFAULT_ORDER
         raise InputError("order grid must be nonempty")
     if any(b <= a for a, b in zip(qs, qs[1:])):
         raise InputError("order grid must be strictly ascending")
-    ps, xs = _support_ordinariness(z, p)
-    return DiversityProfile(qs, tuple(float(1.0 / _power_mean_core(ps, xs, q - 1.0)) for q in qs))
+    return DiversityProfile(qs, tuple(diversity(z, p, q) for q in qs))
 
 
 def restrict(p: Distribution, subset) -> Distribution:

@@ -10,7 +10,6 @@ a finite metric at distance eps gives the covering-number sandwich.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .diversity import Distribution
 from .errors import InputError, NumericalError, PreconditionError
-from .linalg import SimilarityMatrix, _check_integer
+from .linalg import SimilarityMatrix, _check_integer, _check_real
 
 # Largest graph the independent-set search accepts.
 GRAPH_CAP = 30
@@ -184,13 +183,7 @@ class FiniteMetric:
     dist: np.ndarray
 
     def __init__(self, dist):
-        d = np.array(dist, dtype=np.float64)
-        if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 1:
-            raise InputError(f"distance matrix must be square, got shape {d.shape}")
-        if not np.isfinite(d).all():
-            raise InputError("distances must be finite")
-        if (d < 0).any():
-            raise InputError("distances must be nonnegative")
+        d = _check_real(dist, "distance matrix", 2, measure=True)
         if np.abs(d.diagonal()).max() > _METRIC_TOL:
             raise InputError("distance matrix must have zero diagonal")
         if np.abs(d - d.T).max() > _METRIC_TOL:
@@ -210,7 +203,7 @@ class FiniteMetric:
 
 
 def _check_eps(eps) -> None:
-    if not (isinstance(eps, numbers.Real) and eps > 0):  # also refuses NaN
+    if not _check_real(eps, "eps") > 0:  # also refuses NaN
         raise InputError("eps must be positive")
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .diversity import Distribution
 from .errors import ParseError
-from .linalg import SimilarityMatrix
+from .linalg import SimilarityMatrix, _check_real
 
 # Ingested abundances below this are rounded to exact zero so that support
 # bookkeeping stays discrete.
@@ -126,7 +126,7 @@ def parse_abundances(text: str, normalize: bool = False) -> Distribution:
                     "abundances must be one CSV row or one value per line", line=lineno
                 )
             values.append(row[0])
-    arr = np.array(values)
+    arr = _check_real(values, "abundances", 1)
     if normalize:
         total = arr.sum()
         if total <= 0:

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .diversity import _power_mean_core
-from .linalg import PIVOT_RTOL, SOLVE_TOL, _tie_threshold
+from .linalg import PIVOT_RTOL, SOLVE_TOL, _in_float64, _tie_threshold
 
 # Subset classification codes.
 UNIQUE_NONNEG = 0  # unique weighting, entrywise >= -SOLVE_TOL
@@ -278,7 +278,8 @@ def grid_best(z: np.ndarray, qs, m: int):
         x_finite = np.where(off, 1.0, xpc)
         x_max = np.where(off, 0.0, xpc)
         for i, q in enumerate(qs):
-            vals = 1.0 / _power_mean_core(pc, x_max if math.isinf(q) else x_finite, q - 1.0)
+            mean = _power_mean_core(pc, x_max if math.isinf(q) else x_finite, q - 1.0)
+            vals = _in_float64("a diversity", np.divide, 1.0, mean)
             j = int(vals.argmax())
             if vals[j] > best_vals[i]:
                 best_vals[i] = vals[j]

@@ -1,4 +1,7 @@
-"""Dense linear algebra for small symmetric similarity matrices.
+"""Dense linear algebra for small symmetric similarity matrices, and the
+library's numeric edge: :func:`_check_real` and :func:`_check_integer` check
+every number passed in, and every weighting space handed back is solved on
+Z_B / 2^e by :func:`_scaled_solve`, then refused beyond float64 or scaled back.
 
 Everything here works on dense matrices at desk scale: subsets of at most
 30 species in the sweep, full matrices in the low hundreds on the fast path.
@@ -19,6 +22,9 @@ species, so it takes O(n^2) time and memory in a handful of numpy calls.
 
 from __future__ import annotations
 
+import math
+import numbers
+import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,14 +74,7 @@ class SimilarityMatrix:
     symmetric: bool = False
 
     def __init__(self, values):
-        arr = np.array(values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise InputError(f"similarity matrix must be square, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise InputError("similarity matrix entries must be finite")
-        if (arr < 0).any():
-            i, j = np.argwhere(arr < 0)[0]
-            raise InputError(f"similarity matrix entry ({i + 1},{j + 1}) is negative")
+        arr = _check_real(values, "similarity matrix", 2, measure=True)
         d = np.diagonal(arr)
         if (d <= 0).any():
             i = int(np.argwhere(d <= 0)[0][0])
@@ -195,6 +194,29 @@ def _check_integer(value, what: str) -> int:
     return i
 
 
+def _check_real(values, what: str, ndim: int = 0, measure: bool = False):
+    """``values`` as float64: a float when ``ndim`` is 0, else an array with
+    ``ndim`` axes.  A string (numeric or not), a complex number or a ragged
+    list is refused rather than converted; a NaN is left to the caller.
+    ``measure`` asks for the entries of a similarity or distance matrix or a
+    distribution: nonempty, square, finite and nonnegative."""
+    try:
+        arr = np.array(values)
+        if arr.dtype.kind not in "biuf" and not all(isinstance(v, numbers.Real) for v in arr.flat):
+            raise TypeError
+        arr = arr.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{what} must be real, got {reprlib.repr(values)}") from None
+    if arr.ndim != ndim or measure and (arr.size == 0 or len(set(arr.shape)) != 1):
+        shape = ("nonempty " if measure else "") + ("number", "vector", "square matrix")[ndim]
+        raise InputError(f"{what} must be a {shape}, got shape {arr.shape}")
+    if measure and not np.isfinite(arr).all():
+        raise InputError(f"{what} entries must be finite")
+    if measure and (arr < 0).any():
+        raise InputError(f"{what} entry {(np.argwhere(arr < 0)[0] + 1).tolist()} is negative")
+    return arr if ndim else float(arr)
+
+
 def _check_subset(n: int, subset) -> tuple[int, ...]:
     """The indices of ``subset`` in ascending order, after checking that they
     are integers, nonempty, distinct and in ``range(n)``.  A vector paired
@@ -215,15 +237,21 @@ def solve_weighting_space(z: SimilarityMatrix, subset=None) -> WeightingSolution
     ``subset`` is a list of 0-based indices (defaults to all of them); the
     solution vectors follow their ascending order.  Rank-deficient
     submatrices are a normal outcome; inconsistency is reported through an
-    absent ``particular``.
+    absent ``particular``.  Solved by :func:`_scaled_solve`, so a weighting
+    or magnitude beyond the float64 range is refused with ``NumericalError``.
     """
-    if subset is None:
-        subset = range(z.n)
-    idx = _check_subset(z.n, subset)
+    return _rescaled_space(*_scaled_solve(z, subset))
+
+
+def _scaled_solve(z: SimilarityMatrix, subset) -> tuple[WeightingSolution, int]:
+    """``(space, e)``: the weighting space of Z_B / 2^e in that matrix's
+    units, with ``e = _unit_exponent(Z_B)``; Z_B is solved as is when e is 0."""
+    idx = _check_subset(z.n, range(z.n) if subset is None else subset)
     a = z.sub(idx)
-    particular, nullspace = _solve_affine(a, np.ones(len(idx)))
+    e = _unit_exponent(a)
+    particular, nullspace = _solve_affine(np.ldexp(a, -e) if e else a, np.ones(len(idx)))
     mag = float(particular.sum()) if particular is not None else None
-    return WeightingSolution(idx, particular, nullspace, None, mag)
+    return WeightingSolution(idx, particular, nullspace, None, mag), e
 
 
 def _solve_definite(z: SimilarityMatrix) -> WeightingSolution:
@@ -318,44 +346,49 @@ def _positive_weighting(ws: WeightingSolution):
 
 
 def find_positive_weighting(z: SimilarityMatrix, subset=None):
-    """A weighting with every entry >= POSITIVITY_EPS·2^-e on ``Z_B``, or ``None``,
-    found on Z_B / 2^e (``e = _unit_exponent(Z_B)``) and scaled back exactly
-    by :func:`_unscaled`."""
-    idx = _check_subset(z.n, range(z.n) if subset is None else subset)
-    a = z.sub(idx)
-    e = _unit_exponent(a)
-    particular, nullspace = _solve_affine(np.ldexp(a, -e), np.ones(len(idx)))
-    w = _positive_weighting(WeightingSolution(idx, particular, nullspace, None, None))
-    return _unscaled(w, e)
+    """A weighting with every entry >= POSITIVITY_EPS·2^-e on ``Z_B``, or
+    ``None``, found on the space of :func:`_scaled_solve` and scaled back by
+    :func:`_unscaled`."""
+    ws, e = _scaled_solve(z, subset)
+    return _unscaled(_positive_weighting(ws), e)
 
 
 def _unit_exponent(values: np.ndarray) -> int:
     """``floor(log2(max values))``: values / 2^e peaks in [1, 2), where the tolerances are sized."""
-    return int(np.frexp(values.max())[1]) - 1
+    return math.frexp(values.max())[1] - 1
+
+
+def _in_float64(what: str, f, *args):
+    """``f(*args)``, refused with ``NumericalError`` and no warning when it
+    overflows, as ``what`` can for a matrix whose entries are below 1e-308."""
+    with np.errstate(over="raise", divide="raise"):
+        try:
+            return f(*args)
+        except FloatingPointError:
+            raise NumericalError(f"{what} is beyond the float64 range; the matrix entries are too small") from None
 
 
 def _unscaled(x, e: int):
     """``x·2^-e``: a weighting array or a float magnitude found on Z / 2^e, in
-    Z's units, and ``None`` as is.
-
-    Refused with ``NumericalError`` when that leaves the float64 range, as it
-    can for a matrix whose largest entry is below about 1e-308."""
+    Z's units (refused beyond the float64 range), and ``None`` as is."""
     if x is None:
         return None
-    with np.errstate(over="raise"):
-        try:
-            out = np.ldexp(x, -e)
-        except FloatingPointError:
-            raise NumericalError(
-                f"a weighting or magnitude of {np.max(x):.6g}·2^{-e} is beyond the float64 range "
-                f"(at most {np.finfo(np.float64).max:.6g}); the matrix entries are too small"
-            ) from None
+    out = _in_float64("a weighting or magnitude", np.ldexp, x, -e)
     return out if isinstance(x, np.ndarray) else float(out)
+
+
+def _rescaled_space(ws: WeightingSolution | None, e: int) -> WeightingSolution | None:
+    """A weighting space of Z / 2^e as that of Z: weightings and magnitude
+    times 2^-e, kernel as is; refused when they leave the float64 range."""
+    if ws is None or e == 0:
+        return ws
+    return replace(ws, particular=_unscaled(ws.particular, e), nonnegative=_unscaled(ws.nonnegative, e),
+                   magnitude=_unscaled(ws.magnitude, e))
 
 
 def magnitude(z: SimilarityMatrix, subset=None) -> float | None:
     """Sum of the entries of any weighting on ``Z_B``; ``None`` if there is
-    no weighting."""
+    no weighting, and refused beyond the float64 range."""
     return solve_weighting_space(z, subset).magnitude
 
 

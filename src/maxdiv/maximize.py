@@ -41,11 +41,13 @@ from .linalg import (
     SimilarityMatrix,
     WeightingSolution,
     _check_integer,
+    _check_real,
     _check_subset,
     _definiteness,
     _eigenvalue_floor,
     _positive_weighting,
     _require_symmetric,
+    _rescaled_space,
     _solve_definite,
     _tie_threshold,
     _unit_exponent,
@@ -111,10 +113,7 @@ def normalize_weighting(w, subset, n: int) -> Distribution:
     """Distribution proportional to ``w`` on ``subset``, zero elsewhere; the
     entries of ``w`` follow the ascending order of the subset's indices."""
     size = len(_check_subset(_check_integer(n, "size"), subset))
-    try:
-        w = np.asarray(w, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InputError(f"weighting {w!r} is not a vector of numbers") from None
+    w = _check_real(w, "weighting", 1)
     if w.shape != (size,):
         raise InputError(f"weighting has {w.shape} entries for a subset of size {size}")
     if w.min() < -100 * SOLVE_TOL:
@@ -137,10 +136,8 @@ def _unit_scale(z: SimilarityMatrix) -> tuple[SimilarityMatrix, int]:
     The solver tolerances (``SOLVE_TOL``, the tie slack ``TIE_RTOL·max(1,
     ·)``, ``POSITIVITY_EPS`` and the LP's) are absolute and sized for entries
     of order one, while scaling Z by c scales every weighting and magnitude
-    by 1/c.  So the maximizer works on Z / 2^e, whose largest entry lies in
-    [1, 2), and scales its weightings and magnitudes back by 2^-e.  Powers
-    of two scale exactly: Z and 2^k·Z reach the same scaled matrix, and a
-    matrix whose largest entry already lies in [1, 2) is used as it is.
+    by 1/c; see :mod:`~maxdiv.linalg`.  Z and 2^k·Z reach the same scaled
+    matrix, and a largest entry already in [1, 2) is used as it is.
     """
     _require_symmetric(
         z,
@@ -149,19 +146,6 @@ def _unit_scale(z: SimilarityMatrix) -> tuple[SimilarityMatrix, int]:
     )
     e = _unit_exponent(z.values)
     return (z, 0) if e == 0 else (SimilarityMatrix(np.ldexp(z.values, -e)), e)
-
-
-def _rescaled_space(ws: WeightingSolution | None, e: int) -> WeightingSolution | None:
-    """A weighting space of Z / 2^e as that of Z: weightings and magnitude
-    times 2^-e, kernel as is; refused when they leave the float64 range."""
-    if ws is None or e == 0:
-        return ws
-    return replace(
-        ws,
-        particular=_unscaled(ws.particular, e),
-        nonnegative=_unscaled(ws.nonnegative, e),
-        magnitude=_unscaled(ws.magnitude, e),
-    )
 
 
 def _winner(ws: WeightingSolution, e: int) -> FeasibleSubset:

@@ -168,13 +168,27 @@ class TestMaximizeCommand:
         assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("command", ["maximize", "diagnose"])
-def test_maximum_beyond_float64_exit_4(runner, tmp_path, command):
+@pytest.mark.parametrize(
+    "command, matrix, args",
+    [
+        pytest.param("maximize", "1e-310,0\n0,1e-310\n", [], id="maximize"),
+        pytest.param("diagnose", "1e-310,0\n0,1e-310\n", [], id="diagnose"),
+        # indefinite, so diagnose solves the full set itself, outside the maximizer's analysis
+        pytest.param("diagnose", "1e-310,2e-310\n2e-310,1e-310\n", [], id="diagnose-indefinite"),
+        # the uniform distribution's diversity is 2e310 at every order
+        pytest.param("diversity", "1e-310,0\n0,1e-310\n", ["-q", "2"], id="diversity"),
+        pytest.param("profile", "1e-310,0\n0,1e-310\n", [], id="profile"),
+    ],
+)
+def test_maximum_beyond_float64_exit_4(runner, tmp_path, command, matrix, args):
     # Dmax of 1e-310·I is 2e310, which float64 cannot hold
-    m = _write(tmp_path, "z.csv", "1e-310,0\n0,1e-310\n")
-    result = runner.invoke(main, [command, "--matrix", m])
+    m = _write(tmp_path, "z.csv", matrix)
+    if command in ("diversity", "profile"):
+        args = ["--abundances", _write(tmp_path, "p.csv", "0.5,0.5\n"), *args]
+    result = runner.invoke(main, [command, "--matrix", m, *args])
     assert result.exit_code == 4
     assert "error: " in result.output and "beyond the float64 range" in result.output
+    assert result.output.count("error:") == 1
     assert "Traceback" not in result.output
 
 

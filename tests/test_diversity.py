@@ -7,6 +7,7 @@ from maxdiv import (
     DEFAULT_ORDERS,
     Distribution,
     InputError,
+    NumericalError,
     PreconditionError,
     SimilarityMatrix,
     diversity,
@@ -353,11 +354,29 @@ def _random_nonsym(rng, n):
         # and so are sizes
         (lambda: extend_by_zero(uniform(1), [0], 2.5), InputError),
         (lambda: normalize_weighting([1.0], [0], 2.5), InputError),
+        # every number passed in is refused unless it is real, numeric strings included
+        (lambda: Distribution(["x"]), InputError),
+        (lambda: Distribution(["1"]), InputError),
+        (lambda: Distribution([1 + 0j]), InputError),
+        (lambda: power_mean(uniform(1), ["x"], 1.0), InputError),
+        (lambda: power_mean(uniform(1), [1.0], "x"), InputError),
+        (lambda: diversity(SimilarityMatrix(np.eye(1)), uniform(1), "x"), InputError),
+        (lambda: diversity(SimilarityMatrix(np.eye(1)), uniform(1), "2"), InputError),
+        (lambda: diversity(SimilarityMatrix(np.eye(1)), uniform(1), None), InputError),
+        (lambda: diversity_profile(SimilarityMatrix(np.eye(1)), uniform(1), ["x"]), InputError),
+        # the uniform distribution on 1e-310·I has diversity 2e310 at every order
+        *((lambda q=q: diversity(SimilarityMatrix(1e-310 * np.eye(2)), uniform(2), q), NumericalError)
+          for q in (0, 1, 2, math.inf)),
+        (lambda: diversity_profile(SimilarityMatrix(1e-310 * np.eye(2)), uniform(2)), NumericalError),
     ],
     ids=["not-a-vector", "nan-entry", "power-mean-length", "power-mean-nan-order",
          "ordinariness-underflow", "empty-order-grid", "extension-size",
          "fractional-solve-index", "fractional-restrict-index", "string-extension-index",
-         "fractional-weighting-index", "string-weighting-entry", "fractional-extension-size", "fractional-weighting-size"],
+         "fractional-weighting-index", "string-weighting-entry", "fractional-extension-size", "fractional-weighting-size",
+         "string-distribution-entry", "numeric-string-distribution-entry", "complex-distribution-entry",
+         "string-power-mean-value", "string-power-mean-order", "string-order", "numeric-string-order",
+         "none-order", "string-profile-order", "diversity-beyond-float64-0", "diversity-beyond-float64-1",
+         "diversity-beyond-float64-2", "diversity-beyond-float64-inf", "profile-beyond-float64"],
 )
 def test_invalid_input_is_refused(call, error):
     with pytest.raises(error):

@@ -261,11 +261,13 @@ class TestEpsilonEntropy:
         lambda: epsilon_entropy_bounds(FiniteMetric([[0.0]]), "1"),
         lambda: ReflexiveGraph(3, [(0, 1, 2)]),
         lambda: ReflexiveGraph(3, [5]),
+        lambda: FiniteMetric([["x"]]),
+        lambda: FiniteMetric([[0.0, 1.0], [1.0]]),
     ],
     ids=["no-vertex", "not-square", "infinite-distance", "negative-distance",
          "fractional-vertex-count", "fractional-vertex", "string-vertex",
          "string-covering-eps", "string-threshold-eps", "string-entropy-eps",
-         "edge-of-three-vertices", "edge-not-a-pair"],
+         "edge-of-three-vertices", "edge-not-a-pair", "string-distance", "ragged-distances"],
 )
 def test_invalid_input_is_refused(call):
     with pytest.raises(InputError):

@@ -66,6 +66,15 @@ class TestSimilarityMatrix:
         with pytest.raises(InputError):
             SimilarityMatrix(np.ones((2, 3)))
 
+    @pytest.mark.parametrize(
+        "values",
+        [[["x"]], [["1"]], [[1.0, "0.5"], [0.5, 1.0]], [[1.0, 0.0], [0.0]], [[1 + 1j]]],
+        ids=["string", "numeric-string", "mixed-string", "ragged", "complex"],
+    )
+    def test_entries_that_are_not_real_numbers_are_refused(self, values):
+        with pytest.raises(InputError):
+            SimilarityMatrix(values)
+
     def test_symmetry_detection_and_normalization(self):
         z = SimilarityMatrix([[1.0, 0.5 + 1e-14], [0.5, 1.0]])
         assert z.symmetric

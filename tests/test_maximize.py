@@ -19,6 +19,7 @@ from maxdiv import (
     full_support_diagnostics,
     is_invariant,
     is_positive_semidefinite,
+    magnitude,
     maximize,
     maximize_exhaustive,
     maximize_fast_path,
@@ -756,12 +757,20 @@ class TestScaleFree:
 class TestFloatRange:
     @pytest.mark.parametrize(
         "fn",
-        [maximize, maximize_exhaustive, maximize_fast_path, full_support_diagnostics, find_positive_weighting],
+        [maximize, maximize_exhaustive, maximize_fast_path, full_support_diagnostics, find_positive_weighting,
+         solve_weighting_space, magnitude],
     )
     def test_maximum_beyond_float64_is_refused(self, fn):
         # Dmax of 1e-310·I is 2e310: refused, not an OverflowError or an inf
         with pytest.raises(NumericalError, match="beyond the float64 range"):
             fn(SimilarityMatrix(1e-310 * np.eye(2)))
+
+    @pytest.mark.parametrize("fn", [solve_weighting_space, magnitude])
+    def test_indefinite_weighting_beyond_float64_is_refused(self, fn):
+        # the weighting (1, 1)/(3e-310) solves Z w = 1 on the indefinite matrix:
+        # refused, not reported as no weighting after an overflow warning
+        with pytest.raises(NumericalError, match="beyond the float64 range"):
+            fn(SimilarityMatrix(1e-310 * np.array([[1.0, 2.0], [2.0, 1.0]])))
 
     def test_small_maximum_within_float64_is_kept(self):
         z = SimilarityMatrix(1e-300 * np.eye(2))

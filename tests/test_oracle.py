@@ -8,6 +8,7 @@ from maxdiv import (
     Distribution,
     GridSpec,
     InputError,
+    NumericalError,
     PreconditionError,
     SimilarityMatrix,
     diversity,
@@ -238,9 +239,19 @@ class TestRefine:
         lambda: GridSpec(3, 4.5),
         lambda: GridSpec(2.5, 4),
         lambda: GridSpec("3", 4),
+        lambda: grid_max_multi(SimilarityMatrix(np.eye(2)), ["x"], GridSpec(2, 4)),
+        lambda: refine(SimilarityMatrix(np.eye(2)), "x", uniform(2)),
     ],
-    ids=["grid-size", "start-size", "fractional-resolution", "fractional-grid-n", "string-grid-n"],
+    ids=["grid-size", "start-size", "fractional-resolution", "fractional-grid-n", "string-grid-n",
+         "string-grid-order", "string-refine-order"],
 )
 def test_invalid_input_is_refused(call):
     with pytest.raises(InputError):
         call()
+
+
+def test_lattice_maximum_beyond_float64_is_refused():
+    # every lattice point of 1e-310·I has a diversity beyond float64, so every
+    # point tied at inf and (1, 0) won
+    with pytest.raises(NumericalError, match="beyond the float64 range"):
+        grid_max_multi(SimilarityMatrix(1e-310 * np.eye(2)), [0.0, 2.0, math.inf], GridSpec(2, 4))
